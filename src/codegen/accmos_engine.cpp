@@ -39,7 +39,9 @@ GeneratedModel AccMoSEngine::generate(const FlatModel& fm,
                                       const SimOptions& opt,
                                       const TestCaseSpec& tests) {
   validateFlatModel(fm);
-  tests.validate();  // the emitter bakes the stimulus into generated code
+  // The emitter bakes the stimulus shape (ports, ranges, sequences) into
+  // the generated code; the seed is a run-time argument.
+  tests.validate();
   for (const auto& cd : opt.customDiagnostics) {
     if (cd.kind == CustomDiagnostic::Kind::Expression &&
         cd.cppCondition.empty()) {
@@ -296,17 +298,15 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
 SimulationResult AccMoSEngine::runSubprocess(uint64_t steps, double budget,
                                              uint64_t seed) {
   const std::string& exe = ensureExecutable();
-  std::vector<std::string> argv = {std::to_string(steps),
-                                   std::to_string(budget),
-                                   std::to_string(seed)};
-  if (deadlineArmed()) {
-    // The deadline crosses the process boundary as a RELATIVE timeout
-    // (monotonic epochs differ between processes); the child computes its
-    // own absolute deadline. The driver additionally arms its host-side
-    // watchdog with the same timeout as a backstop for genuine hangs.
-    argv.push_back(std::to_string(opt_.runTimeoutSec));
-    argv.push_back(std::to_string(opt_.stepBudget));
-  }
+  // The generated main() takes every run parameter from argv (none are
+  // baked into the source). The deadline crosses the process boundary as
+  // a RELATIVE timeout (monotonic epochs differ between processes); the
+  // child computes its own absolute deadline. The driver additionally
+  // arms its host-side watchdog with the same timeout as a backstop for
+  // genuine hangs.
+  const std::vector<std::string> argv = {
+      std::to_string(steps), std::to_string(budget), std::to_string(seed),
+      std::to_string(opt_.runTimeoutSec), std::to_string(opt_.stepBudget)};
   std::string output = driver_->run(exe, argv, opt_.runTimeoutSec);
   SimulationResult result = parseResults(
       output, fm_, opt_.coverage ? &covPlan_ : nullptr,

@@ -799,17 +799,19 @@ void Emitter::emitBatch(std::ostringstream& os) {
 }
 
 void Emitter::emitMain(std::ostringstream& os) {
+  // Run parameters come from argv only: baking defaults into the source
+  // would make every (seed, steps) pair a new compile-cache key.
   os << "int main(int argc, char* argv[]) {\n"
-     << "  uint64_t maxSteps = " << opt_.maxSteps << "ULL;\n"
-     << "  double budget = " << fmtD(opt_.timeBudgetSec) << ";\n"
-     << "  uint64_t seed = " << tests_.seed << "ULL;\n"
-     << "  double timeoutSec = 0.0;\n"
-     << "  uint64_t stepBudget = 0;\n"
-     << "  if (argc > 1) maxSteps = strtoull(argv[1], 0, 10);\n"
-     << "  if (argc > 2) budget = atof(argv[2]);\n"
-     << "  if (argc > 3) seed = strtoull(argv[3], 0, 10);\n"
-     << "  if (argc > 4) timeoutSec = atof(argv[4]);\n"
-     << "  if (argc > 5) stepBudget = strtoull(argv[5], 0, 10);\n"
+     << "  if (argc < 6) {\n"
+     << "    fprintf(stderr, \"usage: %s STEPS BUDGET SEED TIMEOUT "
+        "STEP_BUDGET\\n\", argv[0]);\n"
+     << "    return 2;\n"
+     << "  }\n"
+     << "  uint64_t maxSteps = strtoull(argv[1], 0, 10);\n"
+     << "  double budget = atof(argv[2]);\n"
+     << "  uint64_t seed = strtoull(argv[3], 0, 10);\n"
+     << "  double timeoutSec = atof(argv[4]);\n"
+     << "  uint64_t stepBudget = strtoull(argv[5], 0, 10);\n"
      << "  // The deadline crosses the process boundary as a RELATIVE\n"
      << "  // timeout (monotonic epochs differ between processes in\n"
      << "  // principle) and becomes absolute against our own clock here.\n"

@@ -6,7 +6,12 @@
 // instrumentation the plans call for — actor/condition/decision/MC-DC
 // coverage marks, per-actor diagnostic functions, signal-monitor calls,
 // custom signal diagnoses — and composes the model system function, a
-// Model_Init, and the main simulation loop with test-case import.
+// Model_Init, the simulation loop with the stimulus generator, and a main()
+// that reads the run parameters (steps, budget, seed, deadline, step
+// budget) from its command line. Nothing of a run's parameters is emitted,
+// so the source — and its compile-cache key — depends only on the
+// flattened model, the instrumentation plans, the stimulus shape and the
+// fault plan.
 #pragma once
 
 #include <functional>

@@ -76,11 +76,7 @@ TieredEngine* SpecEvaluator::engineFor(const TestCaseSpec& spec) {
   std::string key = spec.shapeKey();
   auto it = engines_.find(key);
   if (it != engines_.end()) return it->second.get();
-  // Normalize the seed out of the generated source so seed-only variants
-  // of a spec map to one compiled binary (the seed is a runtime argument).
-  TestCaseSpec shape = spec;
-  shape.seed = 1;
-  auto engine = std::make_unique<TieredEngine>(fm_, opt_, shape);
+  auto engine = std::make_unique<TieredEngine>(fm_, opt_, spec);
   ++enginesBuilt_;
   return engines_.emplace(std::move(key), std::move(engine))
       .first->second.get();

@@ -167,10 +167,10 @@ CampaignResult runCampaignSpecsOn(
 // runCampaignSpecs does). For Engine::SSE each worker keeps one persistent
 // interpreter instance. For Engine::AccMoS one simulator is generated and
 // compiled per distinct stimulus *shape* (TestCaseSpec::shapeKey — the
-// seed is normalized out and passed as a runtime argument), cached for the
-// evaluator's lifetime, and executed concurrently — in the default dlopen
-// exec mode all workers call into the one loaded shared library (its
-// accmos_run ABI is reentrant), in process mode each run is a child
+// generated source never carries the seed, a runtime argument), cached
+// for the evaluator's lifetime, and executed concurrently — in the default
+// dlopen exec mode all workers call into the one loaded shared library
+// (its accmos_run ABI is reentrant), in process mode each run is a child
 // process; the content-addressed compile cache absorbs repeated shapes
 // across evaluators and runs.
 //

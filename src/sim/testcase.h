@@ -62,9 +62,9 @@ struct TestCaseSpec {
 
   // Canonical text form of the stimulus *shape* — ports, ranges and
   // sequences with the seed excluded. The campaign layer caches compiled
-  // AccMoS simulators under this key: the generated code bakes the
-  // stimulus but takes the seed as a runtime argument, so seed-only
-  // variants of a spec share one compiled binary.
+  // AccMoS simulators under this key: the generated code bakes the shape
+  // and nothing else of the spec, so seed-only variants of a spec emit
+  // the same source and share one compiled binary.
   std::string shapeKey() const;
 };
 

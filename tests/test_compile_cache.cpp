@@ -2,7 +2,9 @@
 // cache and skips the compiler; different opt level or source misses; a
 // corrupted or truncated cached binary is detected by the size+hash
 // sidecar and falls back to a recompile — never to executing the damaged
-// file. Plus the CompilerDriver error-path regression: uncompilable source
+// file. The source carries no run parameters, so sweeping seeds and step
+// counts hits one entry, and single runs build the scalar-only library.
+// Plus the CompilerDriver error-path regression: uncompilable source
 // surfaces compiler stderr through a catchable ModelError.
 #include <gtest/gtest.h>
 
@@ -13,13 +15,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codegen/accmos_engine.h"
 #include "codegen/compiler_driver.h"
 #include "opt/pipeline.h"
 #include "parser/model_io.h"
+#include "sim/campaign.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -314,6 +319,206 @@ TEST_F(CompileCacheTest, BatchCapabilityIsPartOfTheCacheKey) {
   EXPECT_EQ(batchedAgain.batchLanes(), 8u);
 }
 
+// In1 -> Gain -> Saturation -> Out1: a model with decision coverage, whose
+// outputs depend on the stimulus seed.
+std::unique_ptr<Tiny> saturatedGainModel() {
+  auto t = std::make_unique<Tiny>();
+  t->inport("In1", 1);
+  Actor& g = t->actor("G", "Gain");
+  g.params().setDouble("gain", 2.0);
+  Actor& s = t->actor("S", "Saturation");
+  s.params().setDouble("min", 0.5);
+  s.params().setDouble("max", 1.5);
+  t->outport("Out1", 1);
+  t->wire("In1", "G");
+  t->wire("G", "S");
+  t->wire("S", "Out1");
+  return t;
+}
+
+// A native single run on the given backend. The tier is pinned so an
+// ambient ACCMOS_TIER cannot answer it on the interpreter.
+SimOptions singleRunOptions(ExecMode mode) {
+  SimOptions opt = accOptions();
+  opt.execMode = mode;
+  opt.tier = Tier::Native;
+  return opt;
+}
+
+size_t cacheEntries(const fs::path& dir) {
+  size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".bin") ++n;
+  }
+  return n;
+}
+
+// The generated source — and with it the compile-cache key — is a function
+// of the model, the instrumentation, the stimulus shape and the fault plan.
+// Seed, steps, budget, deadline and step budget travel at run time, so
+// sweeping them must never recompile.
+TEST_F(CompileCacheTest, GeneratedSourceIgnoresRunParameters) {
+  auto t = saturatedGainModel();
+  Simulator sim(t->model());
+  const SimOptions opt = accOptions();
+  const TestCaseSpec tests;
+  auto sourceOf = [&](const SimOptions& o, const TestCaseSpec& tc) {
+    return AccMoSEngine::generate(sim.flatModel(), o, tc).source;
+  };
+  const std::string base = sourceOf(opt, tests);
+  const uint64_t baseKey = CompilerDriver::cacheKey(base, opt.optFlag);
+
+  using Edit = std::function<void(SimOptions&, TestCaseSpec&)>;
+  const std::vector<std::pair<std::string, Edit>> runParams = {
+      {"seed", [](SimOptions&, TestCaseSpec& tc) { tc.seed = 987654321; }},
+      {"maxSteps", [](SimOptions& o, TestCaseSpec&) { o.maxSteps = 12345; }},
+      {"timeBudgetSec",
+       [](SimOptions& o, TestCaseSpec&) { o.timeBudgetSec = 2.5; }},
+      {"runTimeoutSec",
+       [](SimOptions& o, TestCaseSpec&) { o.runTimeoutSec = 7.0; }},
+      {"stepBudget", [](SimOptions& o, TestCaseSpec&) { o.stepBudget = 99; }},
+  };
+  for (const auto& [name, edit] : runParams) {
+    SimOptions o = opt;
+    TestCaseSpec tc = tests;
+    edit(o, tc);
+    const std::string src = sourceOf(o, tc);
+    // EXPECT_TRUE, not EXPECT_EQ: a mismatch would print both sources.
+    EXPECT_TRUE(src == base) << name << " leaked into the generated source";
+    EXPECT_EQ(CompilerDriver::cacheKey(src, o.optFlag), baseKey) << name;
+  }
+
+  // Negative control: what the source is made of still changes the key.
+  const std::vector<std::pair<std::string, Edit>> shapeParams = {
+      {"stimulus range",
+       [](SimOptions&, TestCaseSpec& tc) { tc.defaultPort.max = 4.0; }},
+      {"coverage", [](SimOptions& o, TestCaseSpec&) { o.coverage = false; }},
+      {"custom diagnostic",
+       [](SimOptions& o, TestCaseSpec&) {
+         CustomDiagnostic cd;
+         cd.actorPath = "T_G";
+         cd.name = "spike";
+         cd.kind = CustomDiagnostic::Kind::Range;
+         cd.minValue = -0.5;
+         cd.maxValue = 0.5;
+         o.customDiagnostics.push_back(cd);
+       }},
+  };
+  for (const auto& [name, edit] : shapeParams) {
+    SimOptions o = opt;
+    TestCaseSpec tc = tests;
+    edit(o, tc);
+    EXPECT_NE(CompilerDriver::cacheKey(sourceOf(o, tc), o.optFlag), baseKey)
+        << name << " must be part of the generated source";
+  }
+}
+
+// A warm single run with a fresh seed and step count is a cache hit on
+// both backends: no compiler invocation, and the observations still match
+// the SSE interpreter's.
+TEST_F(CompileCacheTest, WarmSingleRunWithNewSeedAndStepsDoesNotCompile) {
+  auto t = saturatedGainModel();
+  for (ExecMode mode : {ExecMode::Dlopen, ExecMode::Process}) {
+    const std::string label(execModeName(mode));
+    SimOptions opt = singleRunOptions(mode);
+    TestCaseSpec tests;
+    tests.seed = 11;
+    const uint64_t cold0 = CompilerDriver::compilerInvocations();
+    SimulationResult cold = simulate(t->model(), opt, tests);
+    EXPECT_EQ(CompilerDriver::compilerInvocations() - cold0, 1u) << label;
+    const size_t entries = cacheEntries(dir_);
+
+    opt.maxSteps = 77;
+    tests.seed = 12345;
+    const uint64_t warm0 = CompilerDriver::compilerInvocations();
+    SimulationResult warm = simulate(t->model(), opt, tests);
+    EXPECT_EQ(CompilerDriver::compilerInvocations() - warm0, 0u) << label;
+    EXPECT_EQ(cacheEntries(dir_), entries) << label;
+    EXPECT_LT(warm.compileSeconds, 0.1) << label << ": verification only";
+    EXPECT_EQ(warm.execMode, label);
+    EXPECT_EQ(warm.stepsExecuted, 77u) << label;
+
+    SimOptions sseOpt = opt;
+    sseOpt.engine = Engine::SSE;
+    test::expectIdenticalResults(simulate(t->model(), sseOpt, tests), warm,
+                                 label + " warm run vs SSE");
+  }
+}
+
+// A single run never calls the batch kernel, so simulate() builds the
+// scalar library even when lanes are requested; the first multi-seed
+// entry point pays for the lane build once, and its per-seed results are
+// bit-identical to the scalar single runs.
+TEST_F(CompileCacheTest, SingleRunsBuildScalarCampaignAddsTheLaneBuild) {
+  auto t = saturatedGainModel();
+  Simulator sim(t->model());
+  SimOptions opt = singleRunOptions(ExecMode::Dlopen);
+  opt.batchLanes = 8;
+  opt.campaign.workers = 1;
+
+  std::vector<TestCaseSpec> specs(8);
+  std::vector<uint64_t> seeds;
+  std::vector<SimulationResult> singles;
+  const uint64_t inv0 = CompilerDriver::compilerInvocations();
+  for (size_t k = 0; k < specs.size(); ++k) {
+    specs[k].seed = 300 + 7 * k;
+    seeds.push_back(specs[k].seed);
+    singles.push_back(sim.run(opt, specs[k]));
+    EXPECT_EQ(singles.back().execMode, "dlopen");
+  }
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - inv0, 1u);
+  EXPECT_EQ(cacheEntries(dir_), 1u);
+
+  // The one entry is the batchless library.
+  OptStats optStats;
+  const FlatModel model =
+      opt.optimize ? optimizeModel(sim.flatModel(), opt, &optStats)
+                   : sim.flatModel();
+  SimOptions scalarOpt = opt;
+  scalarOpt.batchLanes = 0;
+  AccMoSEngine scalar(model, scalarOpt, TestCaseSpec{});
+  EXPECT_TRUE(scalar.compileCacheHit());
+  EXPECT_EQ(scalar.batchLanes(), 0u);
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - inv0, 1u);
+
+  CampaignResult campaign =
+      runCampaign(sim.flatModel(), opt, TestCaseSpec{}, seeds);
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - inv0, 2u)
+      << "the 8-lane campaign compiles exactly once more";
+  EXPECT_EQ(cacheEntries(dir_), 2u);
+  ASSERT_EQ(campaign.perSeed.size(), singles.size());
+  for (const auto& row : campaign.perSeed) {
+    EXPECT_EQ(row.execMode, kExecModeDlopenBatch);
+  }
+
+  // Folding the single runs through the campaign's own merge must give
+  // the campaign's result: same rows, bitmaps and diagnostics.
+  const CampaignResult fromSingles =
+      mergeSpecResults(model, specs, singles, specs.size(), optStats);
+  for (size_t k = 0; k < singles.size(); ++k) {
+    const CampaignSeedResult& a = campaign.perSeed[k];
+    const CampaignSeedResult& b = fromSingles.perSeed[k];
+    EXPECT_EQ(a.seed, b.seed) << k;
+    EXPECT_EQ(a.steps, b.steps) << k;
+    EXPECT_EQ(a.coverage.toString(), b.coverage.toString()) << k;
+    EXPECT_EQ(a.cumulative.toString(), b.cumulative.toString()) << k;
+    EXPECT_EQ(a.diagnosticKinds, b.diagnosticKinds) << k;
+  }
+  for (CovMetric m : kAllCovMetrics) {
+    EXPECT_EQ(campaign.mergedBitmaps.bits(m), fromSingles.mergedBitmaps.bits(m))
+        << covMetricName(m);
+  }
+  ASSERT_EQ(campaign.diagnostics.size(), fromSingles.diagnostics.size());
+  for (size_t k = 0; k < campaign.diagnostics.size(); ++k) {
+    EXPECT_EQ(campaign.diagnostics[k].actorPath,
+              fromSingles.diagnostics[k].actorPath);
+    EXPECT_EQ(campaign.diagnostics[k].kind, fromSingles.diagnostics[k].kind);
+    EXPECT_EQ(campaign.diagnostics[k].firstStep,
+              fromSingles.diagnostics[k].firstStep);
+    EXPECT_EQ(campaign.diagnostics[k].count, fromSingles.diagnostics[k].count);
+  }
+}
+
 // Regression for the error paths: a deliberately uncompilable source must
 // produce a CompileError (a ModelError) whose message carries the
 // compiler's actual stderr, not just an exit code.
@@ -406,7 +611,9 @@ TEST_F(CompileCacheTest, CrossProcessColdCompileIsSingleFlight) {
   EnvGuard fault("ACCMOS_FAULT", "slow-compile:400");
 
   // Two concurrent CLI processes, both cold against the shared store
-  // (ACCMOS_CACHE_DIR from the fixture is inherited).
+  // (ACCMOS_CACHE_DIR from the fixture is inherited). --tier=native: an
+  // inherited ACCMOS_TIER=interp|auto would answer on the interpreter and
+  // never (or only sometimes) compile.
   auto spawnRun = [&](const fs::path& out) {
     pid_t pid = ::fork();
     if (pid == 0) {
@@ -418,7 +625,7 @@ TEST_F(CompileCacheTest, CrossProcessColdCompileIsSingleFlight) {
       }
       ::execl(ACCMOS_CLI_PATH, ACCMOS_CLI_PATH, "run", modelPath.c_str(),
               "--engine=accmos", "--steps=50", "--opt=-O0",
-              static_cast<char*>(nullptr));
+              "--tier=native", static_cast<char*>(nullptr));
       ::_exit(127);
     }
     return pid;

@@ -82,41 +82,6 @@ const char* dlopenBatchMode(size_t lanes) {
   return lanes > 0 ? kExecModeDlopenBatch : "dlopen";
 }
 
-// The whole-result comparison both backends are held to. Everything the
-// result protocol carries must agree bit-exactly; only the timing fields
-// and execMode may differ.
-void expectIdenticalResults(const SimulationResult& a,
-                            const SimulationResult& b,
-                            const std::string& label) {
-  EXPECT_EQ(a.stepsExecuted, b.stepsExecuted) << label;
-  EXPECT_EQ(a.stoppedEarly, b.stoppedEarly) << label;
-  test::expectSameOutputs(a, b, label);
-  ASSERT_EQ(a.hasCoverage, b.hasCoverage) << label;
-  if (a.hasCoverage) {
-    EXPECT_EQ(a.coverage.toString(), b.coverage.toString()) << label;
-    for (CovMetric m : kAllCovMetrics) {
-      EXPECT_EQ(a.bitmaps.bits(m), b.bitmaps.bits(m))
-          << label << " bitmap " << covMetricName(m);
-    }
-  }
-  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size()) << label;
-  for (size_t k = 0; k < a.diagnostics.size(); ++k) {
-    const DiagRecord& da = a.diagnostics[k];
-    const DiagRecord& db = b.diagnostics[k];
-    EXPECT_EQ(da.actorPath, db.actorPath) << label << " diag " << k;
-    EXPECT_EQ(da.kind, db.kind) << label << " diag " << k;
-    EXPECT_EQ(da.message, db.message) << label << " diag " << k;
-    EXPECT_EQ(da.firstStep, db.firstStep) << label << " diag " << k;
-    EXPECT_EQ(da.count, db.count) << label << " diag " << k;
-  }
-  ASSERT_EQ(a.collected.size(), b.collected.size()) << label;
-  for (size_t k = 0; k < a.collected.size(); ++k) {
-    EXPECT_EQ(a.collected[k].path, b.collected[k].path) << label;
-    EXPECT_EQ(a.collected[k].last, b.collected[k].last) << label;
-    EXPECT_EQ(a.collected[k].count, b.collected[k].count) << label;
-  }
-}
-
 // The Sample model ships overflow-triggering stimulus: a run produces real
 // diagnostics, so the differential covers the diagnostic records too.
 TEST(ExecModes, SingleRunsAgreeOnTheSampleModel) {
@@ -135,7 +100,7 @@ TEST(ExecModes, SingleRunsAgreeOnTheSampleModel) {
   EXPECT_GT(dl.loadSeconds, 0.0);
   EXPECT_EQ(pr.loadSeconds, 0.0);
   EXPECT_FALSE(dl.diagnostics.empty()) << "Sample model should overflow";
-  expectIdenticalResults(dl, pr, "sample model");
+  test::expectIdenticalResults(dl, pr, "sample model");
 }
 
 // Signal monitors and compiled custom diagnostics cross the binary ABI
@@ -170,7 +135,7 @@ TEST(ExecModes, MonitorsAndCustomDiagnosticsAgree) {
   ASSERT_EQ(dl.collected.size(), 1u);
   EXPECT_GT(dl.collected[0].count, 0u);
   EXPECT_NE(dl.findDiag("T_G", DiagKind::Custom), nullptr);
-  expectIdenticalResults(dl, pr, "monitors+custom");
+  test::expectIdenticalResults(dl, pr, "monitors+custom");
 }
 
 // Campaigns fan concurrent runs over one engine: in dlopen mode that is
@@ -267,7 +232,7 @@ TEST(ExecModes, HeterogeneousSpecBatchesAgree) {
     for (size_t k = 0; k < specs.size(); ++k) {
       std::string label =
           "lanes " + std::to_string(lanes) + " spec " + std::to_string(k);
-      expectIdenticalResults(dl[k], pr[k], label);
+      test::expectIdenticalResults(dl[k], pr[k], label);
       EXPECT_EQ(dl[k].execMode, dlopenBatchMode(lanes)) << label;
       EXPECT_EQ(pr[k].execMode, "process") << label;
     }
@@ -308,8 +273,8 @@ TEST(ExecModes, BatchedSingleRunsAgreeWithScalarAndProcess) {
     EXPECT_EQ(sc.execMode, "dlopen") << label;
     SimulationResult pr = process.run(0, -1.0, seed);
     EXPECT_EQ(pr.execMode, "process") << label;
-    expectIdenticalResults(bt[0], sc, label + " batch vs scalar");
-    expectIdenticalResults(bt[0], pr, label + " batch vs process");
+    test::expectIdenticalResults(bt[0], sc, label + " batch vs scalar");
+    test::expectIdenticalResults(bt[0], pr, label + " batch vs process");
     sawDiagnostics |= !bt[0].diagnostics.empty();
   }
   EXPECT_TRUE(sawDiagnostics) << "sample model should overflow somewhere";
@@ -394,7 +359,7 @@ TEST(ExecModes, BatchFallbackMatrixDegradesToScalar) {
     ASSERT_EQ(out.size(), seeds.size()) << label;
     for (size_t k = 0; k < out.size(); ++k) {
       EXPECT_EQ(out[k].execMode, mode) << label;
-      expectIdenticalResults(out[k], ref[k],
+      test::expectIdenticalResults(out[k], ref[k],
                              label + " seed " + std::to_string(seeds[k]));
     }
   };

@@ -123,4 +123,39 @@ inline void expectSameOutputs(const SimulationResult& a,
   }
 }
 
+// The whole-result comparison the AccMoS backends are held to. Everything
+// the result protocol carries must agree bit-exactly; only the timing
+// fields and execMode may differ.
+inline void expectIdenticalResults(const SimulationResult& a,
+                                   const SimulationResult& b,
+                                   const std::string& label) {
+  EXPECT_EQ(a.stepsExecuted, b.stepsExecuted) << label;
+  EXPECT_EQ(a.stoppedEarly, b.stoppedEarly) << label;
+  expectSameOutputs(a, b, label);
+  ASSERT_EQ(a.hasCoverage, b.hasCoverage) << label;
+  if (a.hasCoverage) {
+    EXPECT_EQ(a.coverage.toString(), b.coverage.toString()) << label;
+    for (CovMetric m : kAllCovMetrics) {
+      EXPECT_EQ(a.bitmaps.bits(m), b.bitmaps.bits(m))
+          << label << " bitmap " << covMetricName(m);
+    }
+  }
+  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size()) << label;
+  for (size_t k = 0; k < a.diagnostics.size(); ++k) {
+    const DiagRecord& da = a.diagnostics[k];
+    const DiagRecord& db = b.diagnostics[k];
+    EXPECT_EQ(da.actorPath, db.actorPath) << label << " diag " << k;
+    EXPECT_EQ(da.kind, db.kind) << label << " diag " << k;
+    EXPECT_EQ(da.message, db.message) << label << " diag " << k;
+    EXPECT_EQ(da.firstStep, db.firstStep) << label << " diag " << k;
+    EXPECT_EQ(da.count, db.count) << label << " diag " << k;
+  }
+  ASSERT_EQ(a.collected.size(), b.collected.size()) << label;
+  for (size_t k = 0; k < a.collected.size(); ++k) {
+    EXPECT_EQ(a.collected[k].path, b.collected[k].path) << label;
+    EXPECT_EQ(a.collected[k].last, b.collected[k].last) << label;
+    EXPECT_EQ(a.collected[k].count, b.collected[k].count) << label;
+  }
+}
+
 }  // namespace accmos::test

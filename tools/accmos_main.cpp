@@ -50,8 +50,11 @@
 //                                      interp never compiles (default
 //                                      native; also: env ACCMOS_TIER)
 //   --batch-lanes=N                    fused batch-kernel lane width for
-//                                      multi-seed runs; 0 = scalar only
-//                                      (default 8; also: env ACCMOS_BATCH)
+//                                      multi-seed runs (campaign, gen,
+//                                      client run); 0 = scalar only
+//                                      (default 8; also: env ACCMOS_BATCH).
+//                                      A local `accmos run` always builds
+//                                      scalar
 //   --timeout=SECONDS                  per-run wall-clock deadline: the
 //                                      generated code retires the run
 //                                      cooperatively, the process backend
