@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     // Show the paper-shaped fragments (Fig. 4/Fig. 5).
     const std::string& src = engine.generatedSource();
     for (const char* needle : {"void diagnose_", "static void Model_Exe",
-                               "int main"}) {
+                               "int accmos_run("}) {
       size_t pos = src.find(needle);
       if (pos == std::string::npos) continue;
       size_t end = src.find("\n}", pos);

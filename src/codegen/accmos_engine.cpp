@@ -1,10 +1,15 @@
 #include "codegen/accmos_engine.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <vector>
 
 #include "actors/spec.h"
@@ -19,7 +24,7 @@ namespace accmos {
 
 namespace {
 
-// Test hook (ACCMOS_FAULT=batch-fail, legacy ACCMOS_BATCH_FAIL): forces
+// Test hook (ACCMOS_FAULT=batch-fail): forces
 // runBatch() onto the per-seed scalar fallback so the fallback matrix can
 // be exercised without manufacturing a defective library.
 bool batchForcedToFail() { return faultPlanFromEnv().batchFail; }
@@ -61,14 +66,15 @@ GeneratedModel AccMoSEngine::generate(const FlatModel& fm,
     gen.covPlan = CoveragePlan::build(
         fm, [](const FlatActor& fa) { return covTraitsFor(fa); });
   }
+  DiagnosisPlan diagPlan;
   if (opt.diagnosis) {
-    gen.diagPlan = DiagnosisPlan::build(
+    diagPlan = DiagnosisPlan::build(
         fm, [&](const FlatActor& fa) { return diagKindsFor(fm, fa); });
   }
 
   auto t0 = std::chrono::steady_clock::now();
   Emitter emitter(fm, opt, tests, opt.coverage ? &gen.covPlan : nullptr,
-                  opt.diagnosis ? &gen.diagPlan : nullptr);
+                  opt.diagnosis ? &diagPlan : nullptr);
   gen.source = emitter.generate();
   gen.collectSignals = emitter.collectSignals();
   auto t1 = std::chrono::steady_clock::now();
@@ -79,18 +85,17 @@ GeneratedModel AccMoSEngine::generate(const FlatModel& fm,
 ArtifactKind AccMoSEngine::artifactPlan(const SimOptions& opt,
                                         std::string* extraFlags) {
   if (extraFlags != nullptr) extraFlags->clear();
-  if (opt.execMode == ExecMode::Dlopen) {
-    // The batch kernel is compiled in via -DACCMOS_BATCH_LANES=N, not by
-    // changing the generated source, so the flag must be part of the
-    // compile-cache identity (CompilerDriver::cacheKey hashes extraFlags):
-    // a cached batchless artifact is never served to a batch-requesting
-    // engine, and vice versa.
-    if (opt.batchLanes > 0 && extraFlags != nullptr) {
-      *extraFlags = "-DACCMOS_BATCH_LANES=" + std::to_string(opt.batchLanes);
-    }
-    return ArtifactKind::SharedLib;
+  // The batch kernel is compiled in via -DACCMOS_BATCH_LANES=N, not by
+  // changing the generated source, so the flag must be part of the
+  // compile-cache identity (CompilerDriver::cacheKey hashes extraFlags):
+  // a cached batchless artifact is never served to a batch-requesting
+  // engine, and vice versa. The process backend runs scalar only, so it
+  // builds the same library as a dlopen single run.
+  if (opt.execMode == ExecMode::Dlopen && opt.batchLanes > 0 &&
+      extraFlags != nullptr) {
+    *extraFlags = "-DACCMOS_BATCH_LANES=" + std::to_string(opt.batchLanes);
   }
-  return ArtifactKind::Executable;
+  return ArtifactKind::SharedLib;
 }
 
 AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
@@ -103,7 +108,6 @@ AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
       opt_(opt),
       tests_(tests),
       covPlan_(std::move(gen.covPlan)),
-      diagPlan_(std::move(gen.diagPlan)),
       collectSignals_(std::move(gen.collectSignals)),
       source_(std::move(gen.source)),
       generateSeconds_(gen.generateSeconds) {
@@ -111,108 +115,62 @@ AccMoSEngine::AccMoSEngine(const FlatModel& fm, const SimOptions& opt,
   driver_->setKeep(opt_.keepGeneratedCode || !opt_.workDir.empty());
   driver_->setCacheEnabled(opt_.compileCache);
 
-  if (opt_.execMode == ExecMode::Dlopen) {
-    // Compile as a shared library and load it in-process. Any failure —
-    // compiler without -shared/-fPIC support, a dlopen error, a library
-    // with the wrong ABI — degrades to the subprocess backend rather than
-    // failing the engine. artifactPlan() decides kind + extra flags so an
-    // async pre-compile (TieredEngine) targets the identical cache entry.
-    std::string extraFlags;
-    ArtifactKind kind = artifactPlan(opt_, &extraFlags);
-    try {
-      auto compiled = driver_->compile(source_, "model_" + fm_.modelName,
-                                       opt_.optFlag, kind, extraFlags);
-      compileSeconds_ = compiled.seconds;
-      compileCacheHit_ = compiled.cacheHit;
-      artifactKeepAlive_ = compiled.keepAlive;
-      // dlopen a private per-engine copy, never the shared cache entry
-      // directly: the dynamic linker dedups loads by pathname and inode,
-      // so dlopening a cache path that an earlier engine already mapped
-      // would hand back the old library even after the entry was healed
-      // or replaced. The copy lives in this engine's unique work dir and
-      // is cleaned up with it.
-      namespace fs = std::filesystem;
-      fs::path libCopy =
-          fs::path(driver_->dir()) / ("model_" + fm_.modelName + ".load.so");
-      fs::copy_file(compiled.exePath, libCopy,
-                    fs::copy_options::overwrite_existing);
-      lib_ = std::make_unique<ModelLib>(libCopy.string());
-      loadSeconds_ = lib_->loadSeconds();
-      exePath_ = compiled.exePath;
-      execModeUsed_ = ExecMode::Dlopen;
-
-      // Cross-check the library's reported geometry against our plans — a
-      // mismatch means we'd size buffers wrong, so fail closed (and fall
-      // back) instead of trusting it.
-      const AccmosModelInfo& info = lib_->info();
-      uint64_t expectedCov[4] = {0, 0, 0, 0};
-      if (opt_.coverage) {
-        for (int m = 0; m < 4; ++m) {
-          expectedCov[m] = static_cast<uint64_t>(
-              covPlan_.totalSlots(kAllCovMetrics[m]));
-        }
-      }
-      size_t collectValsLen = 0;
-      for (int sid : collectSignals_) {
-        collectValsLen += static_cast<size_t>(fm_.signal(sid).width);
-      }
-      size_t outValsLen = 0;
-      for (int oid : fm_.rootOutports) {
-        outValsLen +=
-            static_cast<size_t>(fm_.signal(fm_.actor(oid).inputs[0]).width);
-      }
-      bool covOk = true;
-      for (int m = 0; m < 4; ++m) covOk &= info.covLen[m] == expectedCov[m];
-      if (!covOk || info.numActors != fm_.actors.size() ||
-          info.numDiagKinds != static_cast<uint64_t>(kNumDiagKinds) ||
-          info.numCustom != opt_.customDiagnostics.size() ||
-          info.numCollect != collectSignals_.size() ||
-          info.collectValsLen != collectValsLen ||
-          info.outValsLen != outValsLen) {
-        throw CompileError("generated model library " + exePath_ +
-                           " reports a geometry that does not match the "
-                           "host's instrumentation plans");
-      }
-      return;
-    } catch (const CompileError&) {
-      lib_.reset();
-      loadSeconds_ = 0.0;
-    } catch (const std::filesystem::filesystem_error&) {
-      lib_.reset();
-      loadSeconds_ = 0.0;
-    }
-  }
-
+  // One artifact serves both backends: the dlopen backend loads the
+  // library in-process, the process backend (and the fault ladder's
+  // fallback) hands it to accmos_runner. artifactPlan() decides the extra
+  // flags so an async pre-compile (TieredEngine) targets the identical
+  // cache entry. A compile failure propagates: there is nothing else to
+  // run.
+  std::string extraFlags;
+  ArtifactKind kind = artifactPlan(opt_, &extraFlags);
   auto compiled = driver_->compile(source_, "model_" + fm_.modelName,
-                                   opt_.optFlag, ArtifactKind::Executable);
-  compileSeconds_ += compiled.seconds;
+                                   opt_.optFlag, kind, extraFlags);
+  compileSeconds_ = compiled.seconds;
   compileCacheHit_ = compiled.cacheHit;
   artifactKeepAlive_ = compiled.keepAlive;
   exePath_ = compiled.exePath;
-  processExePath_ = compiled.exePath;
-  execModeUsed_ = ExecMode::Process;
-}
 
-const std::string& AccMoSEngine::ensureExecutable() {
-  std::lock_guard<std::mutex> lock(exeMutex_);
-  if (processExePath_.empty()) {
-    // First subprocess fallback of a dlopen-mode engine: the shared
-    // library cannot be exec'd, so build the executable form now. Usually
-    // a cache hit in any campaign that fell back before.
-    auto compiled = driver_->compile(source_, "model_" + fm_.modelName,
-                                     opt_.optFlag, ArtifactKind::Executable);
-    processExePath_ = compiled.exePath;
+  // Run a private per-engine copy, never the shared cache entry directly:
+  // the dynamic linker dedups loads by pathname and inode, so dlopening a
+  // cache path that an earlier engine already mapped would hand back the
+  // old library even after the entry was healed or replaced. The copy
+  // lives in this engine's unique work dir, serves the runner too, and is
+  // cleaned up with the engine.
+  namespace fs = std::filesystem;
+  libPath_ =
+      (fs::path(driver_->dir()) / ("model_" + fm_.modelName + ".load.so"))
+          .string();
+  try {
+    fs::copy_file(compiled.exePath, libPath_,
+                  fs::copy_options::overwrite_existing);
+  } catch (const fs::filesystem_error& e) {
+    throw CompileError("cannot stage the model library: " +
+                       std::string(e.what()));
   }
-  return processExePath_;
+  if (opt_.execMode != ExecMode::Dlopen) return;
+
+  // A library dlopen cannot load degrades to the process backend rather
+  // than failing the engine.
+  try {
+    lib_ = std::make_unique<ModelLib>(libPath_);
+  } catch (const CompileError&) {
+    return;
+  }
+  // A library whose geometry disagrees with our plans would have its
+  // buffers sized wrongly on either backend, so fail closed.
+  if (std::string why =
+          geometryMismatch(lib_->info(), fm_, coveragePlan(), collectSignals_,
+                           opt_.customDiagnostics.size());
+      !why.empty()) {
+    throw CompileError("generated model library " + exePath_ +
+                       " does not match the host's instrumentation plans: " +
+                       why);
+  }
+  loadSeconds_ = lib_->loadSeconds();
+  execModeUsed_ = ExecMode::Dlopen;
 }
 
-bool AccMoSEngine::libUsable() const {
-  // A pre-v3 library has no cooperative deadline checks: an in-process
-  // hang there would be uninterruptible (no watchdog can kill a thread of
-  // our own process), so deadline-armed runs route around it.
-  return lib_ != nullptr && !quarantined() &&
-         (lib_->supportsDeadlines() || !deadlineArmed());
-}
+bool AccMoSEngine::libUsable() const { return lib_ && !quarantined(); }
 
 AccMoSEngine::~AccMoSEngine() = default;
 
@@ -232,26 +190,19 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
 
   AccmosRunArgs args;
   std::memset(&args, 0, sizeof(args));
-  // Stamp the version and struct size the LIBRARY implements, not our
-  // compile-time constants: a v1 library checks args against version 1 and
-  // the 32-byte pre-v3 layout (identical across v1/v2), so the v3
-  // deadline fields must not be counted into structSize for it.
-  args.structSize = lib_->runArgsSize();
-  args.abiVersion = lib_->abiVersion();
+  args.structSize = static_cast<uint32_t>(sizeof(AccmosRunArgs));
+  args.abiVersion = ACCMOS_ABI_VERSION;
   args.maxSteps = steps;
   args.timeBudgetSec = budget;
   args.seed = seed;
-  if (lib_->supportsDeadlines()) {
-    args.deadlineSeconds = opt_.runTimeoutSec > 0.0
-                               ? steadyNowSeconds() + opt_.runTimeoutSec
-                               : 0.0;
-    args.stepBudget = opt_.stepBudget;
-  }
+  args.deadlineSeconds =
+      opt_.runTimeoutSec > 0.0 ? steadyNowSeconds() + opt_.runTimeoutSec : 0.0;
+  args.stepBudget = opt_.stepBudget;
 
   AccmosRunResult res;
   std::memset(&res, 0, sizeof(res));
   res.structSize = static_cast<uint32_t>(sizeof(AccmosRunResult));
-  res.abiVersion = lib_->abiVersion();
+  res.abiVersion = ACCMOS_ABI_VERSION;
   for (int m = 0; m < 4; ++m) {
     cov[m].resize(static_cast<size_t>(info.covLen[m]));
     res.cov[m] = cov[m].empty() ? nullptr : cov[m].data();
@@ -288,30 +239,50 @@ SimulationResult AccMoSEngine::runInProcess(uint64_t steps, double budget,
                        ")");
   }
   SimulationResult result = decodeBinaryResults(
-      res, fm_, opt_.coverage ? &covPlan_ : nullptr,
-      opt_.diagnosis ? &diagPlan_ : nullptr, collectSignals_,
-      opt_.customDiagnostics);
+      res, fm_, coveragePlan(), collectSignals_, opt_.customDiagnostics);
   result.execMode = std::string(execModeName(ExecMode::Dlopen));
   return result;
 }
 
 SimulationResult AccMoSEngine::runSubprocess(uint64_t steps, double budget,
                                              uint64_t seed) {
-  const std::string& exe = ensureExecutable();
-  // The generated main() takes every run parameter from argv (none are
-  // baked into the source). The deadline crosses the process boundary as
-  // a RELATIVE timeout (monotonic epochs differ between processes); the
-  // child computes its own absolute deadline. The driver additionally
-  // arms its host-side watchdog with the same timeout as a backstop for
-  // genuine hangs.
-  const std::vector<std::string> argv = {
-      std::to_string(steps), std::to_string(budget), std::to_string(seed),
-      std::to_string(opt_.runTimeoutSec), std::to_string(opt_.stepBudget)};
-  std::string output = driver_->run(exe, argv, opt_.runTimeoutSec);
-  SimulationResult result = parseResults(
-      output, fm_, opt_.coverage ? &covPlan_ : nullptr,
-      opt_.diagnosis ? &diagPlan_ : nullptr, collectSignals_,
-      opt_.customDiagnostics);
+  // Workers share one engine (and a caller-chosen work dir may be shared
+  // between processes), so every run gets its own result file.
+  static std::atomic<uint64_t> runCounter{0};
+  const std::string out =
+      (std::filesystem::path(driver_->dir()) /
+       ("run_" + std::to_string(::getpid()) + "_" +
+        std::to_string(runCounter.fetch_add(1)) + ".res"))
+          .string();
+  struct RemoveOnExit {
+    const std::string& path;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } removeOnExit{out};
+
+  // The deadline crosses the process boundary as a RELATIVE timeout
+  // (monotonic epochs differ between processes); the runner computes its
+  // own absolute deadline. The driver additionally arms its host-side
+  // watchdog with the same timeout as a backstop for genuine hangs.
+  // Seconds travel at full precision: std::to_string's six decimals would
+  // turn a sub-microsecond budget into 0, i.e. unlimited.
+  auto secs = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  driver_->run(ACCMOS_RUNNER_PATH,
+               {libPath_, out, std::to_string(steps), secs(budget),
+                std::to_string(seed), secs(opt_.runTimeoutSec),
+                std::to_string(opt_.stepBudget)},
+               opt_.runTimeoutSec);
+  std::ifstream in(out, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  SimulationResult result = decodeRunnerFile(
+      bytes, fm_, coveragePlan(), collectSignals_, opt_.customDiagnostics);
   result.execMode = std::string(execModeName(ExecMode::Process));
   return result;
 }
@@ -445,7 +416,7 @@ void AccMoSEngine::runBatchChunk(const uint64_t* seeds, size_t n,
     AccmosRunResult& r = laneRes[l];
     std::memset(&r, 0, sizeof(r));
     r.structSize = static_cast<uint32_t>(sizeof(AccmosRunResult));
-    r.abiVersion = lib_->abiVersion();
+    r.abiVersion = ACCMOS_ABI_VERSION;
     for (int m = 0; m < 4; ++m) {
       const size_t len = static_cast<size_t>(info.covLen[m]);
       r.cov[m] = len > 0 ? &cov[m][l * len] : nullptr;
@@ -469,23 +440,20 @@ void AccMoSEngine::runBatchChunk(const uint64_t* seeds, size_t n,
 
   AccmosBatchRunArgs args;
   std::memset(&args, 0, sizeof(args));
-  args.structSize = lib_->batchArgsSize();
-  args.abiVersion = lib_->abiVersion();
+  args.structSize = static_cast<uint32_t>(sizeof(AccmosBatchRunArgs));
+  args.abiVersion = ACCMOS_ABI_VERSION;
   args.numLanes = n;
   args.maxSteps = steps;
   args.timeBudgetSec = budget;
   args.seeds = seeds;
-  if (lib_->supportsDeadlines()) {
-    args.deadlineSeconds = opt_.runTimeoutSec > 0.0
-                               ? steadyNowSeconds() + opt_.runTimeoutSec
-                               : 0.0;
-    args.stepBudget = opt_.stepBudget;
-  }
+  args.deadlineSeconds =
+      opt_.runTimeoutSec > 0.0 ? steadyNowSeconds() + opt_.runTimeoutSec : 0.0;
+  args.stepBudget = opt_.stepBudget;
 
   AccmosBatchRunResult bres;
   std::memset(&bres, 0, sizeof(bres));
   bres.structSize = static_cast<uint32_t>(sizeof(AccmosBatchRunResult));
-  bres.abiVersion = lib_->abiVersion();
+  bres.abiVersion = ACCMOS_ABI_VERSION;
   bres.numLanes = n;
   bres.lanes = laneRes.data();
 
@@ -510,8 +478,7 @@ void AccMoSEngine::runBatchChunk(const uint64_t* seeds, size_t n,
   }
   for (size_t l = 0; l < n; ++l) {
     SimulationResult r = decodeBinaryResults(
-        laneRes[l], fm_, opt_.coverage ? &covPlan_ : nullptr,
-        opt_.diagnosis ? &diagPlan_ : nullptr, collectSignals_,
+        laneRes[l], fm_, coveragePlan(), collectSignals_,
         opt_.customDiagnostics);
     if (contained && r.timedOut) {
       // The batch deadline is shared: a lane may have been retired only
@@ -538,8 +505,8 @@ std::vector<SimulationResult> AccMoSEngine::runBatch(
   out.reserve(seeds.size());
   const uint64_t lanes = batchLanes();
   if (lanes == 0) {
-    // Scalar fallback: no library (subprocess backend), a batchless or v1
-    // library, batching disabled, or the ACCMOS_BATCH_FAIL hook. Each
+    // Scalar fallback: no library (subprocess backend), a batchless
+    // library, batching disabled, or the batch-fail fault hook. Each
     // result's execMode reports what actually ran.
     for (uint64_t seed : seeds) {
       out.push_back(run(steps, budget, seed));

@@ -2,20 +2,22 @@
 // instrumentation, simulation code synthesis, compilation, execution, and
 // result recovery.
 //
-// Execution has two backends (SimOptions::execMode, docs/EXECUTION.md):
-//   Dlopen  — the generated code is compiled -shared -fPIC, loaded once
-//             with dlopen, and every run() is an in-process accmos_run()
-//             call filling caller-owned binary buffers. Zero subprocess,
-//             zero text parsing on the hot path. Falls back to Process
-//             automatically if the library cannot be built or loaded.
-//   Process — the generated code is compiled to an executable and each
-//             run() forks it, parsing the text result protocol.
-// Both backends produce bit-identical SimulationResults.
+// The generated code is compiled once, -shared -fPIC, into one library
+// that both execution backends run (SimOptions::execMode,
+// docs/EXECUTION.md):
+//   Dlopen  — the library is loaded once with dlopen, and every run() is
+//             an in-process accmos_run() call filling caller-owned binary
+//             buffers. Zero subprocess on the hot path. Falls back to
+//             Process automatically if the library cannot be loaded.
+//   Process — each run() spawns accmos_runner, which loads the same
+//             library in a child process, calls accmos_run and writes the
+//             same buffers to a result file.
+// Both backends decode with decodeBinaryResults and produce bit-identical
+// SimulationResults.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "cov/coverage.h"
@@ -38,7 +40,6 @@ enum class ArtifactKind : uint8_t;
 // without re-emitting.
 struct GeneratedModel {
   CoveragePlan covPlan;
-  DiagnosisPlan diagPlan;
   std::vector<int> collectSignals;
   std::string source;
   double generateSeconds = 0.0;
@@ -64,7 +65,7 @@ class AccMoSEngine {
                                  const TestCaseSpec& tests);
 
   // The artifact the constructor will ask the compiler for under `opt` —
-  // kind plus extra flags (the batch-lane define). Exposed so an async
+  // always a shared library, plus extra flags (the batch-lane define). Exposed so an async
   // pre-compile (TieredEngine) addresses the exact cache entry the engine
   // construction will then hit; any drift here would make the hand-over a
   // silent recompile.
@@ -94,9 +95,9 @@ class AccMoSEngine {
   // Falls back to per-seed scalar run() — and therefore reports "dlopen"
   // or "process" in SimulationResult::execMode instead of "dlopen-batch" —
   // when the engine has no loaded library, the library has no batch
-  // capability (v1 artifact, missing symbol, compiled batchless), batching
-  // is disabled (SimOptions::batchLanes == 0), or the ACCMOS_BATCH_FAIL
-  // test hook is set. Thread-safe like run().
+  // capability (missing symbol, compiled batchless), batching is disabled
+  // (SimOptions::batchLanes == 0), or the ACCMOS_FAULT=batch-fail test
+  // hook is set. Thread-safe like run().
   std::vector<SimulationResult> runBatch(
       const std::vector<uint64_t>& seeds, uint64_t maxStepsOverride = 0,
       double timeBudgetOverride = -1.0);
@@ -105,8 +106,9 @@ class AccMoSEngine {
   // degradation ladder (docs/ROBUSTNESS.md) is
   //   dlopen -> subprocess -> structured failure:
   // an in-process run that crashes (caught by the signal guard) or hangs
-  // (retired by its ABI v3 deadline / step budget) earns the engine a
-  // strike and is retried exactly once on the subprocess backend, whose
+  // (retired by its ABI deadline / step budget) earns the engine a strike
+  // and is retried exactly once on the subprocess backend — the runner on
+  // the already-compiled library, so no fallback ever compiles — whose
   // host-side watchdog can kill even an uncooperative child. If that
   // attempt also fails, the returned SimulationResult has failed == true
   // and a populated RunFailure instead of observations — campaigns and the
@@ -136,7 +138,7 @@ class AccMoSEngine {
 
   // Lanes a runBatch() call will actually fuse per kernel invocation:
   // the loaded library's capability, or 0 when runBatch() would take the
-  // scalar fallback (evaluated per call — the ACCMOS_BATCH_FAIL hook is
+  // scalar fallback (evaluated per call — the batch-fail fault hook is
   // read here, not at construction).
   uint64_t batchLanes() const;
 
@@ -170,17 +172,9 @@ class AccMoSEngine {
   // Common result tail: coverage report + generate/compile/load timings.
   void finishResult(SimulationResult& r) const;
 
-  // Subprocess fallback needs an *executable*; in dlopen mode the engine
-  // only compiled a shared library, so the executable is built lazily on
-  // first fallback (and cached — content-addressed — for the next one).
-  const std::string& ensureExecutable();
   void strike() { strikes_.fetch_add(1, std::memory_order_relaxed); }
-  // True when this engine's options ask for deadline enforcement.
-  bool deadlineArmed() const {
-    return opt_.runTimeoutSec > 0.0 || opt_.stepBudget > 0;
-  }
-  // Whether a run may use the loaded library right now (not quarantined,
-  // and the library can honour a requested deadline cooperatively).
+  // Whether a run may use the loaded library right now (loaded and not
+  // quarantined).
   bool libUsable() const;
   SimulationResult failedResult(FailureKind kind, uint64_t seed, int signal,
                                 int retries, const char* backend,
@@ -190,10 +184,10 @@ class AccMoSEngine {
   SimOptions opt_;
   TestCaseSpec tests_;
   CoveragePlan covPlan_;
-  DiagnosisPlan diagPlan_;
   std::vector<int> collectSignals_;
   std::string source_;
-  std::string exePath_;
+  std::string exePath_;  // the compiled library (usually a cache entry)
+  std::string libPath_;  // this engine's private copy, loaded and run
   double generateSeconds_ = 0.0;
   double compileSeconds_ = 0.0;
   double loadSeconds_ = 0.0;
@@ -205,12 +199,6 @@ class AccMoSEngine {
   // lifetime when the binary could not be published to the cache
   // (CompileOutput::keepAlive).
   std::shared_ptr<void> artifactKeepAlive_;
-
-  // Lazily-built executable for the subprocess fallback (see
-  // ensureExecutable); equals exePath_ when the engine started in Process
-  // mode. Guarded by exeMutex_ — campaign workers share the engine.
-  std::string processExePath_;
-  std::mutex exeMutex_;
   std::atomic<int> strikes_{0};
 };
 

@@ -71,7 +71,8 @@ std::string hex16(uint64_t v) {
   return buf;
 }
 
-// Extra flags for ArtifactKind::SharedLib; part of the cache identity.
+// Flags of every build (the artifact is always a shared library); part of
+// the cache identity.
 constexpr const char* kSharedLibFlags = "-shared -fPIC";
 
 bool cacheDisabledByEnv() {
@@ -253,7 +254,6 @@ struct CompileParams {
   std::string name;
   std::string optFlag;
   std::string extraFlags;
-  ArtifactKind kind = ArtifactKind::Executable;
   double timeoutSec = 0.0;
   bool publish = false;  // cache usable: publish + single-flight by key
   uint64_t key = 0;
@@ -288,10 +288,9 @@ std::optional<CompileOutput> tryCacheHit(uint64_t key) {
 // ends, so fault injection, retries and crash-safe publication behave
 // identically either way.
 CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
-  const bool shared = p.kind == ArtifactKind::SharedLib;
   CompileOutput out;
   fs::path src = fs::path(dirStr) / (p.name + ".cpp");
-  fs::path exe = fs::path(dirStr) / (shared ? p.name + ".so" : p.name);
+  fs::path exe = fs::path(dirStr) / (p.name + ".so");
   fs::path log = fs::path(dirStr) / (p.name + ".log");
   {
     std::ofstream f(src);
@@ -342,8 +341,8 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
   }
 
   std::ostringstream cmd;
-  cmd << CompilerDriver::compilerPath() << " -std=c++17 " << p.optFlag;
-  if (shared) cmd << " " << kSharedLibFlags;
+  cmd << CompilerDriver::compilerPath() << " -std=c++17 " << p.optFlag
+      << " " << kSharedLibFlags;
   if (!p.extraFlags.empty()) cmd << " " << p.extraFlags;
   cmd << " -o " << shellQuote(exe.string()) << " " << shellQuote(src.string());
 
@@ -695,14 +694,12 @@ double CompilerDriver::defaultCompileTimeout() {
 
 uint64_t CompilerDriver::cacheKey(const std::string& source,
                                   const std::string& optFlag,
-                                  ArtifactKind kind,
+                                  ArtifactKind /*kind*/,
                                   const std::string& extraFlags) {
   uint64_t h = fnv1a64(compilerPath());
   h = fnv1a64(std::string(" -std=c++17 "), h);
   h = fnv1a64(optFlag, h);
-  if (kind == ArtifactKind::SharedLib) {
-    h = fnv1a64(std::string(kSharedLibFlags), h);
-  }
+  h = fnv1a64(std::string(kSharedLibFlags), h);
   if (!extraFlags.empty()) {
     h = fnv1a64(std::string("\x1f"), h);  // separator: flag fields
     h = fnv1a64(extraFlags, h);
@@ -728,14 +725,13 @@ int CompilerDriver::compilePoolSize() {
 CompileOutput CompilerDriver::compile(const std::string& source,
                                       const std::string& name,
                                       const std::string& optFlag,
-                                      ArtifactKind kind,
+                                      ArtifactKind /*kind*/,
                                       const std::string& extraFlags) {
   CompileParams p;
   p.source = source;
   p.name = name;
   p.optFlag = optFlag;
   p.extraFlags = extraFlags;
-  p.kind = kind;
   p.timeoutSec = compileTimeoutSec_;
   p.publish = cacheEnabled_ && !cacheDisabledByEnv();
 
@@ -755,7 +751,7 @@ CompileOutput CompilerDriver::compile(const std::string& source,
     return out;
   }
 
-  p.key = cacheKey(source, optFlag, kind, extraFlags);
+  p.key = cacheKey(source, optFlag, ArtifactKind::SharedLib, extraFlags);
   if (auto hit = tryCacheHit(p.key)) {
     hit->sourcePath = src.string();
     return *hit;
@@ -795,19 +791,18 @@ CompileOutput CompilerDriver::compile(const std::string& source,
 CompileHandle CompilerDriver::compileAsync(const std::string& source,
                                            const std::string& name,
                                            const std::string& optFlag,
-                                           ArtifactKind kind,
+                                           ArtifactKind /*kind*/,
                                            const std::string& extraFlags) {
   CompileParams p;
   p.source = source;
   p.name = name;
   p.optFlag = optFlag;
   p.extraFlags = extraFlags;
-  p.kind = kind;
   p.timeoutSec = compileTimeoutSec_;
   p.publish = cacheEnabled_ && !cacheDisabledByEnv();
 
   if (p.publish) {
-    p.key = cacheKey(source, optFlag, kind, extraFlags);
+    p.key = cacheKey(source, optFlag, ArtifactKind::SharedLib, extraFlags);
     if (auto hit = tryCacheHit(p.key)) {
       // Warm model: the handle is ready before the caller's first poll.
       return CompileHandle(makeReadyJob(std::move(*hit)));
@@ -833,8 +828,8 @@ std::string CompilerDriver::run(const std::string& exePath,
   argv.push_back(exePath);
   for (const auto& a : args) argv.push_back(a);
 
-  // The generated program normally retires itself cooperatively before
-  // its deadline; the watchdog is the backstop for a genuine hang, so it
+  // A simulation run normally retires itself cooperatively before its
+  // deadline; the watchdog is the backstop for a genuine hang, so it
   // fires a little later than the cooperative deadline would.
   SpawnLimits limits;
   limits.timeoutSec = timeoutSec > 0.0 ? timeoutSec * 1.5 + 1.0 : 0.0;
@@ -843,25 +838,22 @@ std::string CompilerDriver::run(const std::string& exePath,
 
   SpawnResult r = spawnAndCapture(argv, limits);
   if (r.launchFailed) {
-    throw CompileError(
-        std::string("failed to launch generated simulation binary: ") +
-        std::strerror(r.launchErrno));
+    throw CompileError("failed to launch " + exePath + ": " +
+                       std::strerror(r.launchErrno));
   }
   if (r.timedOut) {
-    throw SimTimeoutError("generated simulation binary exceeded the " +
+    throw SimTimeoutError(exePath + " exceeded the " +
                           std::to_string(limits.timeoutSec) +
                           "s watchdog deadline; its process group was killed");
   }
   if (WIFSIGNALED(r.status)) {
-    throw SimCrashError("generated simulation binary " +
-                            describeWaitStatus(r.status) + "\n" + r.output,
-                        WTERMSIG(r.status));
+    throw SimCrashError(
+        exePath + " " + describeWaitStatus(r.status) + "\n" + r.output,
+        WTERMSIG(r.status));
   }
   std::string failure = describeWaitStatus(r.status);
   if (!failure.empty()) {
-    throw SimCrashError("generated simulation binary " + failure + "\n" +
-                            r.output,
-                        0);
+    throw SimCrashError(exePath + " " + failure + "\n" + r.output, 0);
   }
   return r.output;
 }

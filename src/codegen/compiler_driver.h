@@ -1,6 +1,7 @@
 // Compile-and-execute step of the AccMoS pipeline: writes the generated
-// source, invokes the host C++ compiler (the paper uses GCC -O3), and runs
-// the resulting simulation binary capturing its result protocol.
+// source, invokes the host C++ compiler (the paper uses GCC -O3) to build
+// the model's shared library, and runs child processes (the accmos_runner
+// of the process backend) under a watchdog.
 //
 // Compilation is fronted by a content-addressed cache: the key is a hash of
 // (compiler, common flags, optimization level, generated source), and
@@ -21,8 +22,8 @@
 
 namespace accmos {
 
-// Thrown when the compiler or the generated binary fails; carries the
-// captured compiler/binary output. A ModelError so callers handling model
+// Thrown when the compiler fails, a compiled library cannot be used, or a
+// child cannot be launched; carries the captured compiler output. A ModelError so callers handling model
 // pipeline failures see compiler stderr, not a bare exit code.
 class CompileError : public ModelError {
  public:
@@ -39,14 +40,14 @@ class CompileCancelled : public CompileError {
   explicit CompileCancelled(const std::string& what) : CompileError(what) {}
 };
 
-// What the driver produces from the generated source. An Executable is run
-// as a subprocess via run(); a SharedLib is built -shared -fPIC for the
-// in-process dlopen backend. The two enter the compile cache under distinct
-// keys — identical source compiled both ways must never collide.
-enum class ArtifactKind : uint8_t { Executable, SharedLib };
+// What the driver produces from the generated source: always a shared
+// library built -shared -fPIC, which the dlopen backend loads in-process
+// and the process backend hands to accmos_runner. The one-value enum is
+// kept only because the benchmark probe (e2ebench/probe.cpp) names it.
+enum class ArtifactKind : uint8_t { SharedLib };
 
 struct CompileOutput {
-  std::string exePath;  // executable or shared library, per ArtifactKind
+  std::string exePath;  // the compiled shared library
   std::string sourcePath;
   double seconds = 0.0;
   bool cacheHit = false;  // binary came from the content-addressed cache
@@ -120,7 +121,7 @@ class CompilerDriver {
   // the cache identity — same source, different defines, distinct entries.
   CompileOutput compile(const std::string& source, const std::string& name,
                         const std::string& optFlag,
-                        ArtifactKind kind = ArtifactKind::Executable,
+                        ArtifactKind kind = ArtifactKind::SharedLib,
                         const std::string& extraFlags = "");
 
   // Starts the same compilation on the background compile pool and returns
@@ -142,10 +143,10 @@ class CompilerDriver {
   CompileHandle compileAsync(const std::string& source,
                              const std::string& name,
                              const std::string& optFlag,
-                             ArtifactKind kind = ArtifactKind::Executable,
+                             ArtifactKind kind = ArtifactKind::SharedLib,
                              const std::string& extraFlags = "");
 
-  // Runs the binary with the given argv, returning captured output
+  // Runs the program with the given argv, returning captured output
   // (stdout+stderr). timeoutSec > 0 arms the host-side watchdog: on
   // expiry the child's process group is SIGKILLed and SimTimeoutError is
   // thrown. Death by signal throws SimCrashError (carrying the signal),
@@ -171,16 +172,14 @@ class CompilerDriver {
   static std::string compilerPath();
   // Resolved cache directory: $ACCMOS_CACHE_DIR, else <tmp>/accmos-cache.
   static std::string cacheDir();
-  // Content-address of a compilation: stable across processes. The artifact
-  // kind (and its -shared -fPIC flags) is part of the address, so an
-  // executable and a shared library of the same source get distinct keys.
-  // Extra flags are part of the address for the same reason: a source
-  // compiled with -DACCMOS_BATCH_LANES=N produces a different binary than
-  // the flagless compile of the identical source, and a batch-requesting
-  // engine must never be served a cached batchless artifact.
+  // Content-address of a compilation: stable across processes. Extra flags
+  // are part of the address: a source compiled with -DACCMOS_BATCH_LANES=N
+  // produces a different binary than the flagless compile of the identical
+  // source, and a batch-requesting engine must never be served a cached
+  // batchless artifact.
   static uint64_t cacheKey(const std::string& source,
                            const std::string& optFlag,
-                           ArtifactKind kind = ArtifactKind::Executable,
+                           ArtifactKind kind = ArtifactKind::SharedLib,
                            const std::string& extraFlags = "");
 
   // Default compile watchdog: $ACCMOS_COMPILE_TIMEOUT seconds, else 300

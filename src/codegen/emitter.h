@@ -6,10 +6,11 @@
 // instrumentation the plans call for — actor/condition/decision/MC-DC
 // coverage marks, per-actor diagnostic functions, signal-monitor calls,
 // custom signal diagnoses — and composes the model system function, a
-// Model_Init, the simulation loop with the stimulus generator, and a main()
-// that reads the run parameters (steps, budget, seed, deadline, step
-// budget) from its command line. Nothing of a run's parameters is emitted,
-// so the source — and its compile-cache key — depends only on the
+// Model_Init, the simulation loop with the stimulus generator, and the
+// accmos_model_info / accmos_run (/ accmos_run_batch) entry points of the
+// run ABI (run_abi.h), which take the run parameters (steps, budget, seed,
+// deadline, step budget) per call. Nothing of a run's parameters is
+// emitted, so the source — and its compile-cache key — depends only on the
 // flattened model, the instrumentation plans, the stimulus shape and the
 // fault plan.
 #pragma once
@@ -88,8 +89,8 @@ class Emitter : public EmitSink {
   // Generated-program sections. All mutable simulation state lives in one
   // `struct accmos_model`; emitDeclarations/emitDiagFn/emitFillInputs/
   // emitModelInit/emitModelExe/emitSimLoop produce its members, so every
-  // run — the standalone main() or an accmos_run() call through the shared
-  // library ABI — executes against a private, zero-initialized instance.
+  // accmos_run() call through the shared library ABI executes against a
+  // private, zero-initialized instance.
   // emitBatch re-emits the identical member-function texts inside a
   // structure-of-arrays `struct accmos_batch` (behind lane-redirection
   // macros) plus the fused per-step lane loop and the accmos_run_batch
@@ -106,7 +107,6 @@ class Emitter : public EmitSink {
   void emitBatch(std::ostringstream& os);
   void emitBatchSimLoop(std::ostringstream& os);
   void emitBatchAbi(std::ostringstream& os);
-  void emitMain(std::ostringstream& os);
 
   // Shared between accmos_run and accmos_run_batch: buffer validation and
   // result extraction for one AccmosRunResult. `ref` prefixes the result

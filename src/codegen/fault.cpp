@@ -126,6 +126,22 @@ void parseDirective(const std::string& d, FaultPlan& plan) {
     plan.dlopenFail = true;
   } else if (name == "batch-fail") {
     plan.batchFail = true;
+  } else if (name == "shard-abort") {
+    if (hasStep)
+      throw ModelError("ACCMOS_FAULT: shard-abort takes no @step: '" + d +
+                       "'");
+    bool hasShard = false;
+    for (auto& [q, v] : qualifiers(1)) {
+      if (q != "shard")
+        throw ModelError("ACCMOS_FAULT: unknown qualifier '" + q + "' in '" +
+                         d + "'");
+      plan.shardAbortIndex = parseU64(v, d);
+      hasShard = true;
+    }
+    if (!hasShard)
+      throw ModelError("ACCMOS_FAULT: shard-abort needs shard=I: '" + d +
+                       "'");
+    plan.shardAbort = true;
   } else {
     throw ModelError("ACCMOS_FAULT: unknown directive '" + d + "'");
   }
@@ -138,14 +154,6 @@ FaultPlan faultPlanFromEnv() {
   if (const char* v = std::getenv("ACCMOS_FAULT"); v != nullptr && *v) {
     for (const std::string& d : splitList(v, ";,")) parseDirective(d, plan);
   }
-  // Legacy hooks, kept as aliases so pre-existing tests and workflows
-  // keep working unchanged.
-  if (const char* v = std::getenv("ACCMOS_DLOPEN_FAIL");
-      v != nullptr && *v && std::string(v) != "0")
-    plan.dlopenFail = true;
-  if (const char* v = std::getenv("ACCMOS_BATCH_FAIL");
-      v != nullptr && *v && std::string(v) != "0")
-    plan.batchFail = true;
   return plan;
 }
 

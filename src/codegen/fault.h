@@ -1,8 +1,8 @@
 // Deterministic fault injection: one env-driven facility (ACCMOS_FAULT)
 // that lets CI and tests exercise every containment path byte-for-byte —
 // hangs and crashes planted in the GENERATED step loop, compiler
-// failures staged in CompilerDriver, and the legacy dlopen/batch
-// degradation hooks — without patching source or depending on luck.
+// failures staged in CompilerDriver, the dlopen/batch degradation hooks
+// and shard-worker death — without patching source or depending on luck.
 //
 // Grammar (directives separated by ';' or ','):
 //
@@ -25,13 +25,16 @@
 //                             invocation after the env value changes.
 //   slow-compile:MS           compiler invocation sleeps MS milliseconds
 //                             first (exercises the compile watchdog).
-//   dlopen-fail               alias of the ACCMOS_DLOPEN_FAIL hook.
-//   batch-fail                alias of the ACCMOS_BATCH_FAIL hook.
+//   dlopen-fail               the host's ModelLib load fails, so engines
+//                             fall back to the subprocess backend (the
+//                             runner loads the library unaffected).
+//   batch-fail                runBatch() takes the per-seed scalar path.
+//   shard-abort:shard=I       the shard worker serving shard I exits
+//                             right after reading its request.
 //
-// The legacy single-purpose env vars keep working; faultPlanFromEnv()
-// folds them in. hang/crash change the emitted source text, so they
-// re-key the compile cache automatically — a faulted build can never be
-// served to (or poison) a fault-free run.
+// hang/crash change the emitted source text, so they re-key the compile
+// cache automatically — a faulted build can never be served to (or
+// poison) a fault-free run.
 #ifndef ACCMOS_CODEGEN_FAULT_H_
 #define ACCMOS_CODEGEN_FAULT_H_
 
@@ -61,17 +64,15 @@ struct FaultPlan {
   bool dlopenFail = false;
   bool batchFail = false;
 
-  bool any() const {
-    return hang.armed || crash.armed || compileFail || slowCompileMs > 0 ||
-           dlopenFail || batchFail;
-  }
+  bool shardAbort = false;
+  uint64_t shardAbortIndex = 0;
+
   // True when the emitter must plant fault code in the generated source.
   bool affectsEmit() const { return hang.armed || crash.armed; }
 };
 
-// Parses ACCMOS_FAULT (plus the legacy ACCMOS_DLOPEN_FAIL /
-// ACCMOS_BATCH_FAIL variables) on every call, so tests can flip the env
-// between runs. Malformed directives throw ModelError — a typo'd fault
+// Parses ACCMOS_FAULT on every call, so tests can flip the env between
+// runs. Malformed directives throw ModelError — a typo'd fault
 // spec silently injecting nothing would make CI vacuously green.
 FaultPlan faultPlanFromEnv();
 

@@ -1,51 +1,20 @@
 #include "codegen/results_parser.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <tuple>
+
+#include "diag/diagnosis.h"
 
 namespace accmos {
 namespace {
 
-[[noreturn]] void fail(size_t lineNo, const std::string& msg) {
-  throw ResultParseError("result protocol line " + std::to_string(lineNo) +
-                         ": " + msg);
-}
-
-CovMetric metricFromName(size_t lineNo, const std::string& name) {
-  for (CovMetric m : kAllCovMetrics) {
-    if (covMetricName(m) == name) return m;
-  }
-  fail(lineNo, "unknown coverage metric '" + name + "'");
-}
-
-Value parseValue(std::istringstream& is, DataType type, int width,
-                 size_t lineNo) {
-  Value v(type, width);
-  for (int i = 0; i < width; ++i) {
-    std::string tok;
-    if (!(is >> tok)) {
-      fail(lineNo, "truncated value vector: expected " +
-                       std::to_string(width) + " elements, got " +
-                       std::to_string(i));
-    }
-    if (isFloatType(type)) {
-      v.setF(i, std::strtod(tok.c_str(), nullptr));
-    } else if (type == DataType::U64) {
-      v.setI(i, static_cast<int64_t>(
-                    std::strtoull(tok.c_str(), nullptr, 10)));
-    } else {
-      v.setI(i, std::strtoll(tok.c_str(), nullptr, 10));
-    }
-  }
-  return v;
+[[noreturn]] void fail(const std::string& msg) {
+  throw ResultParseError("binary result: " + msg);
 }
 
 // Reads one packed ABI element back into a Value slot; the exact inverse
-// of the emitter's packExpr(), so the binary path lands on the same bits
-// the text path's %.17g/strtod round-trip produces.
+// of the emitter's packExpr().
 void unpackInto(Value& v, int i, DataType type, uint64_t u) {
   if (isFloatType(type)) {
     double d;
@@ -56,7 +25,7 @@ void unpackInto(Value& v, int i, DataType type, uint64_t u) {
   }
 }
 
-// Empty result with the per-model geometry both decoders start from.
+// Empty result with the per-model geometry the decoder fills in.
 SimulationResult makeSkeleton(const FlatModel& fm,
                               const CoveragePlan* covPlan,
                               const std::vector<int>& collectSignals) {
@@ -74,9 +43,8 @@ SimulationResult makeSkeleton(const FlatModel& fm,
   return result;
 }
 
-// Shared final ordering — like DiagnosticSink::sorted(). Both decoders
-// build their raw lists in the same (actor-major, kind) emission order, so
-// this stable sort yields the identical permutation.
+// Final ordering — like DiagnosticSink::sorted(). The raw list arrives in
+// (actor-major, kind) emission order, so this sort is deterministic.
 void sortDiags(std::vector<DiagRecord>& diags) {
   std::sort(diags.begin(), diags.end(),
             [](const DiagRecord& a, const DiagRecord& b) {
@@ -98,157 +66,72 @@ DiagRecord customRecord(const FlatModel& fm, const CustomDiagnostic& cd,
   return rec;
 }
 
+uint64_t pad8(uint64_t bytes) { return (bytes + 7) / 8 * 8; }
+
 }  // namespace
 
-SimulationResult parseResults(const std::string& output, const FlatModel& fm,
-                              const CoveragePlan* covPlan,
-                              const DiagnosisPlan* diagPlan,
-                              const std::vector<int>& collectSignals,
-                              const std::vector<CustomDiagnostic>& custom) {
-  (void)diagPlan;
-  SimulationResult result = makeSkeleton(fm, covPlan, collectSignals);
-  std::vector<DiagRecord> rawDiags;
-
-  std::istringstream in(output);
-  std::string line;
-  size_t lineNo = 0;
-  bool began = false;
-  bool ended = false;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    if (line == "ACCMOS_RESULT_BEGIN") {
-      began = true;
-      continue;
-    }
-    if (!began) continue;  // program may print diagnostics text first
-    if (line == "ACCMOS_RESULT_END") {
-      ended = true;
-      break;
-    }
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "STEPS") {
-      if (!(ls >> result.stepsExecuted)) fail(lineNo, "malformed STEPS");
-    } else if (tag == "STOPPED_EARLY") {
-      int v = 0;
-      if (!(ls >> v)) fail(lineNo, "malformed STOPPED_EARLY");
-      result.stoppedEarly = v != 0;
-    } else if (tag == "TIMED_OUT") {
-      int v = 0;
-      if (!(ls >> v)) fail(lineNo, "malformed TIMED_OUT");
-      result.timedOut = v != 0;
-    } else if (tag == "EXEC_NS") {
-      uint64_t ns = 0;
-      if (!(ls >> ns)) fail(lineNo, "malformed EXEC_NS");
-      result.execSeconds = static_cast<double>(ns) * 1e-9;
-    } else if (tag == "COVMAP") {
-      std::string metric;
-      std::string bits;
-      if (!(ls >> metric)) fail(lineNo, "COVMAP missing metric name");
-      ls >> bits;  // may legitimately be empty (zero instrumented slots)
-      if (covPlan == nullptr) continue;
-      CovMetric m = metricFromName(lineNo, metric);
-      auto& bm = result.bitmaps.bits(m);
-      if (bits.size() != bm.size()) {
-        fail(lineNo, "coverage bitmap size mismatch for '" + metric +
-                         "': got " + std::to_string(bits.size()) +
-                         ", plan has " + std::to_string(bm.size()));
-      }
-      for (size_t k = 0; k < bits.size(); ++k) bm[k] = bits[k] == '1' ? 1 : 0;
-      result.hasCoverage = true;
-    } else if (tag == "DIAG") {
-      int actorId = 0;
-      int kind = 0;
-      uint64_t first = 0;
-      uint64_t count = 0;
-      if (!(ls >> actorId >> kind >> first >> count)) {
-        fail(lineNo, "malformed DIAG record");
-      }
-      if (actorId < 0 || actorId >= static_cast<int>(fm.actors.size())) {
-        fail(lineNo, "diagnostic references bad actor id " +
-                         std::to_string(actorId));
-      }
-      if (kind < 0 || kind >= kNumDiagKinds) {
-        fail(lineNo, "diagnostic references bad kind " +
-                         std::to_string(kind));
-      }
-      DiagRecord rec;
-      rec.actorId = actorId;
-      rec.actorPath = fm.actor(actorId).path;
-      rec.kind = static_cast<DiagKind>(kind);
-      rec.firstStep = first;
-      rec.count = count;
-      rawDiags.push_back(rec);
-    } else if (tag == "CUSTOM") {
-      size_t idx = 0;
-      uint64_t first = 0;
-      uint64_t count = 0;
-      if (!(ls >> idx >> first >> count)) {
-        fail(lineNo, "malformed CUSTOM record");
-      }
-      if (idx >= custom.size()) {
-        fail(lineNo, "custom diagnostic index " + std::to_string(idx) +
-                         " out of range (have " +
-                         std::to_string(custom.size()) + ")");
-      }
-      rawDiags.push_back(customRecord(fm, custom[idx], first, count));
-    } else if (tag == "COLLECT") {
-      size_t idx = 0;
-      uint64_t count = 0;
-      int width = 0;
-      if (!(ls >> idx >> count >> width)) {
-        fail(lineNo, "malformed COLLECT record");
-      }
-      if (idx >= result.collected.size()) {
-        fail(lineNo, "collect index " + std::to_string(idx) +
-                         " out of range (have " +
-                         std::to_string(result.collected.size()) + ")");
-      }
-      const SignalInfo& sig = fm.signal(collectSignals[idx]);
-      if (width != sig.width) {
-        fail(lineNo, "collect width mismatch: got " + std::to_string(width) +
-                         ", signal has " + std::to_string(sig.width));
-      }
-      result.collected[idx].count = count;
-      result.collected[idx].last = parseValue(ls, sig.type, width, lineNo);
-    } else if (tag == "OUT") {
-      size_t idx = 0;
-      int width = 0;
-      if (!(ls >> idx >> width)) fail(lineNo, "malformed OUT record");
-      if (idx >= result.finalOutputs.size()) {
-        fail(lineNo, "output index " + std::to_string(idx) +
-                         " out of range (have " +
-                         std::to_string(result.finalOutputs.size()) + ")");
-      }
-      const FlatActor& fa = fm.actor(fm.rootOutports[idx]);
-      const SignalInfo& sig = fm.signal(fa.inputs[0]);
-      if (width != sig.width) {
-        fail(lineNo, "output width mismatch: got " + std::to_string(width) +
-                         ", signal has " + std::to_string(sig.width));
-      }
-      result.finalOutputs[idx] = parseValue(ls, sig.type, width, lineNo);
-    } else if (!tag.empty()) {
-      fail(lineNo, "unknown result tag '" + tag + "'");
+std::string geometryMismatch(const AccmosModelInfo& info, const FlatModel& fm,
+                             const CoveragePlan* covPlan,
+                             const std::vector<int>& collectSignals,
+                             size_t numCustom) {
+  for (int m = 0; m < 4; ++m) {
+    const uint64_t want =
+        covPlan != nullptr
+            ? static_cast<uint64_t>(covPlan->totalSlots(kAllCovMetrics[m]))
+            : 0;
+    if (info.covLen[m] != want) {
+      return "coverage bitmap length for '" +
+             std::string(covMetricName(kAllCovMetrics[m])) + "' is " +
+             std::to_string(info.covLen[m]) + ", plan has " +
+             std::to_string(want);
     }
   }
-  if (!began || !ended) {
-    fail(lineNo, std::string(!began ? "ACCMOS_RESULT_BEGIN"
-                                    : "ACCMOS_RESULT_END") +
-                     " never seen — truncated result block:\n" +
-                     output.substr(0, 2000));
+  uint64_t collectValsLen = 0;
+  for (int sid : collectSignals) {
+    collectValsLen += static_cast<uint64_t>(fm.signal(sid).width);
   }
-  sortDiags(rawDiags);
-  result.diagnostics = std::move(rawDiags);
-  return result;
+  uint64_t outValsLen = 0;
+  for (int oid : fm.rootOutports) {
+    outValsLen +=
+        static_cast<uint64_t>(fm.signal(fm.actor(oid).inputs[0]).width);
+  }
+  const struct {
+    const char* what;
+    uint64_t got, want;
+  } fields[] = {
+      {"actor count", info.numActors, fm.actors.size()},
+      {"diagnostic kind count", info.numDiagKinds,
+       static_cast<uint64_t>(kNumDiagKinds)},
+      {"custom diagnostic count", info.numCustom, numCustom},
+      {"monitored signal count", info.numCollect, collectSignals.size()},
+      {"monitored value length", info.collectValsLen, collectValsLen},
+      {"output value length", info.outValsLen, outValsLen},
+  };
+  for (const auto& f : fields) {
+    if (f.got != f.want) {
+      return std::string(f.what) + " is " + std::to_string(f.got) +
+             ", host expects " + std::to_string(f.want);
+    }
+  }
+  return "";
 }
 
 SimulationResult decodeBinaryResults(
     const AccmosRunResult& res, const FlatModel& fm,
-    const CoveragePlan* covPlan, const DiagnosisPlan* diagPlan,
-    const std::vector<int>& collectSignals,
+    const CoveragePlan* covPlan, const std::vector<int>& collectSignals,
     const std::vector<CustomDiagnostic>& custom) {
-  (void)diagPlan;
+  if (res.diagCount > res.diagCap) {
+    fail("diagnostic count " + std::to_string(res.diagCount) +
+         " exceeds its capacity " + std::to_string(res.diagCap));
+  }
+  if (res.customCount > res.customCap) {
+    fail("custom diagnostic count " + std::to_string(res.customCount) +
+         " exceeds its capacity " + std::to_string(res.customCap));
+  }
+  if (res.numCollect != collectSignals.size()) {
+    fail("monitored signal count " + std::to_string(res.numCollect) +
+         ", host expects " + std::to_string(collectSignals.size()));
+  }
   SimulationResult result = makeSkeleton(fm, covPlan, collectSignals);
   std::vector<DiagRecord> rawDiags;
 
@@ -263,11 +146,10 @@ SimulationResult decodeBinaryResults(
     for (int m = 0; m < 4; ++m) {
       auto& bm = result.bitmaps.bits(kAllCovMetrics[m]);
       if (res.covLen[m] != bm.size()) {
-        throw ResultParseError(
-            "binary result: coverage bitmap size mismatch for '" +
-            std::string(covMetricName(kAllCovMetrics[m])) + "': got " +
-            std::to_string(res.covLen[m]) + ", plan has " +
-            std::to_string(bm.size()));
+        fail("coverage bitmap size mismatch for '" +
+             std::string(covMetricName(kAllCovMetrics[m])) + "': got " +
+             std::to_string(res.covLen[m]) + ", plan has " +
+             std::to_string(bm.size()));
       }
       for (size_t k = 0; k < bm.size(); ++k) {
         bm[k] = res.cov[m][k] != 0 ? 1 : 0;
@@ -279,8 +161,10 @@ SimulationResult decodeBinaryResults(
   for (uint64_t i = 0; i < res.diagCount; ++i) {
     const AccmosDiagRec& d = res.diags[i];
     if (d.actorId < 0 || d.actorId >= static_cast<int>(fm.actors.size())) {
-      throw ResultParseError("binary result: diagnostic references bad "
-                             "actor id " + std::to_string(d.actorId));
+      fail("diagnostic references bad actor id " + std::to_string(d.actorId));
+    }
+    if (d.kind < 0 || d.kind >= kNumDiagKinds) {
+      fail("diagnostic references bad kind " + std::to_string(d.kind));
     }
     DiagRecord rec;
     rec.actorId = d.actorId;
@@ -293,8 +177,8 @@ SimulationResult decodeBinaryResults(
   for (uint64_t i = 0; i < res.customCount; ++i) {
     const AccmosCustomRec& c = res.customs[i];
     if (c.index >= custom.size()) {
-      throw ResultParseError("binary result: custom diagnostic index " +
-                             std::to_string(c.index) + " out of range");
+      fail("custom diagnostic index " + std::to_string(c.index) +
+           " out of range");
     }
     rawDiags.push_back(customRecord(fm, custom[static_cast<size_t>(c.index)],
                                     c.firstStep, c.count));
@@ -303,6 +187,9 @@ SimulationResult decodeBinaryResults(
   size_t off = 0;
   for (size_t k = 0; k < collectSignals.size(); ++k) {
     const SignalInfo& sig = fm.signal(collectSignals[k]);
+    if (off + static_cast<size_t>(sig.width) > res.collectValsLen) {
+      fail("monitored values overrun their buffer");
+    }
     result.collected[k].count = res.collectCounts[k];
     for (int i = 0; i < sig.width; ++i) {
       unpackInto(result.collected[k].last, i, sig.type,
@@ -315,6 +202,9 @@ SimulationResult decodeBinaryResults(
   for (size_t k = 0; k < fm.rootOutports.size(); ++k) {
     const FlatActor& fa = fm.actor(fm.rootOutports[k]);
     const SignalInfo& sig = fm.signal(fa.inputs[0]);
+    if (off + static_cast<size_t>(sig.width) > res.outValsLen) {
+      fail("output values overrun their buffer");
+    }
     // In-place retype instead of constructing a fresh Value: this decoder
     // sits on the per-run hot path of batched campaigns, where an extra
     // allocation per outport is measurable.
@@ -329,6 +219,86 @@ SimulationResult decodeBinaryResults(
   sortDiags(rawDiags);
   result.diagnostics = std::move(rawDiags);
   return result;
+}
+
+SimulationResult decodeRunnerFile(const std::string& bytes,
+                                  const FlatModel& fm,
+                                  const CoveragePlan* covPlan,
+                                  const std::vector<int>& collectSignals,
+                                  const std::vector<CustomDiagnostic>& custom) {
+  AccmosRunnerFileHeader h;
+  if (bytes.size() < sizeof(h)) {
+    fail("runner file truncated: " + std::to_string(bytes.size()) +
+         " bytes, the header alone needs " + std::to_string(sizeof(h)));
+  }
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  if (h.magic != ACCMOS_RUNNER_FILE_MAGIC) fail("runner file has bad magic");
+  if (h.abiVersion != ACCMOS_ABI_VERSION ||
+      h.info.abiVersion != ACCMOS_ABI_VERSION) {
+    fail("runner file has ABI version " + std::to_string(h.abiVersion) +
+         "/" + std::to_string(h.info.abiVersion) + ", host has " +
+         std::to_string(ACCMOS_ABI_VERSION));
+  }
+  const AccmosModelInfo& info = h.info;
+  // The geometry check comes first: it bounds every section length below
+  // by the host's own plans, so the size arithmetic cannot overflow.
+  if (std::string why =
+          geometryMismatch(info, fm, covPlan, collectSignals, custom.size());
+      !why.empty()) {
+    fail("runner file geometry: " + why);
+  }
+  const uint64_t diagCap = info.numActors * info.numDiagKinds;
+  uint64_t want = sizeof(h) + pad8(diagCap * sizeof(AccmosDiagRec)) +
+                  pad8(info.numCustom * sizeof(AccmosCustomRec)) +
+                  8 * (info.numCollect + info.collectValsLen + info.outValsLen);
+  for (int m = 0; m < 4; ++m) want += pad8(info.covLen[m]);
+  if (bytes.size() != want) {
+    fail("runner file is " + std::to_string(bytes.size()) + " bytes, " +
+         (bytes.size() < want ? "truncated" : "with trailing bytes") +
+         "; its geometry needs " + std::to_string(want));
+  }
+  if (h.rc != ACCMOS_ABI_OK && h.rc != ACCMOS_ABI_ETIMEOUT) {
+    fail("model run failed with ABI status " + std::to_string(h.rc));
+  }
+
+  // Copy each section into typed storage: the file's bytes carry no
+  // alignment, and reading records through a cast pointer would alias.
+  const char* p = bytes.data() + sizeof(h);
+  auto take = [&](auto& v, uint64_t n) {
+    v.resize(static_cast<size_t>(n));
+    const size_t len = v.size() * sizeof(v[0]);
+    if (len > 0) std::memcpy(v.data(), p, len);
+    p += pad8(len);
+    return v.empty() ? nullptr : v.data();
+  };
+  std::vector<uint8_t> cov[4];
+  std::vector<AccmosDiagRec> diags;
+  std::vector<AccmosCustomRec> customs;
+  std::vector<uint64_t> collectCounts, collectVals, outVals;
+
+  AccmosRunResult res;
+  std::memset(&res, 0, sizeof(res));
+  res.stepsExecuted = h.stepsExecuted;
+  res.stoppedEarly = h.stoppedEarly;
+  res.timedOut = h.timedOut;
+  res.execNs = h.execNs;
+  for (int m = 0; m < 4; ++m) {
+    res.cov[m] = take(cov[m], info.covLen[m]);
+    res.covLen[m] = info.covLen[m];
+  }
+  res.diags = take(diags, diagCap);
+  res.diagCap = diagCap;
+  res.diagCount = h.diagCount;
+  res.customs = take(customs, info.numCustom);
+  res.customCap = info.numCustom;
+  res.customCount = h.customCount;
+  res.collectCounts = take(collectCounts, info.numCollect);
+  res.numCollect = info.numCollect;
+  res.collectVals = take(collectVals, info.collectValsLen);
+  res.collectValsLen = info.collectValsLen;
+  res.outVals = take(outVals, info.outValsLen);
+  res.outValsLen = info.outValsLen;
+  return decodeBinaryResults(res, fm, covPlan, collectSignals, custom);
 }
 
 }  // namespace accmos

@@ -2,14 +2,15 @@
 // structure the in-process engines produce — what makes AccMoS-vs-SSE
 // results directly comparable in the tests and in the Table 2/3 benches.
 //
-// Two decoders, one contract:
-//   parseResults        — the text result protocol captured from a
-//                         subprocess run (ExecMode::Process).
-//   decodeBinaryResults — the packed buffers an in-process accmos_run()
-//                         call filled (ExecMode::Dlopen).
-// Both must produce bit-identical SimulationResults for the same
-// simulation; the differential tests in tests/test_exec_modes.cpp hold
-// them to it.
+// One decoder, two transports:
+//   decodeBinaryResults — the caller-owned buffers an accmos_run() call
+//                         filled, in-process (ExecMode::Dlopen).
+//   decodeRunnerFile    — the result file accmos_runner wrote after running
+//                         the same library in a child process
+//                         (ExecMode::Process); validated, then handed to
+//                         decodeBinaryResults.
+// The two backends therefore produce bit-identical SimulationResults; the
+// differential tests in tests/test_exec_modes.cpp hold them to it.
 #pragma once
 
 #include <string>
@@ -17,7 +18,6 @@
 
 #include "codegen/run_abi.h"
 #include "cov/coverage.h"
-#include "diag/diagnosis.h"
 #include "graph/flat_model.h"
 #include "ir/model.h"
 #include "sim/options.h"
@@ -25,32 +25,43 @@
 
 namespace accmos {
 
-// Malformed or truncated result data. A ModelError so pipeline-level
-// handlers see it; the message always carries the offending protocol line
-// number for the text decoder.
+// Malformed, truncated or out-of-range result data. A ModelError so
+// pipeline-level handlers see it.
 class ResultParseError : public ModelError {
  public:
   explicit ResultParseError(const std::string& what) : ModelError(what) {}
 };
 
-// `collectSignals` must be the emitter's monitored-signal list; plans may be
-// null when the program was generated without the corresponding
-// instrumentation. Throws ResultParseError (with the 1-based line number of
-// the offending line in `output`) on any malformed, truncated, or
-// out-of-range field — never returns a silent partial result.
-SimulationResult parseResults(const std::string& output, const FlatModel& fm,
-                              const CoveragePlan* covPlan,
-                              const DiagnosisPlan* diagPlan,
-                              const std::vector<int>& collectSignals,
-                              const std::vector<CustomDiagnostic>& custom);
+// Compares a library's reported geometry with what the host's
+// instrumentation plans expect (`covPlan` null when coverage is off).
+// Returns "" when they agree, else a description of the first mismatch —
+// buffers sized from a disagreeing library would be read wrongly.
+std::string geometryMismatch(const AccmosModelInfo& info, const FlatModel& fm,
+                             const CoveragePlan* covPlan,
+                             const std::vector<int>& collectSignals,
+                             size_t numCustom);
 
-// Decodes the caller-owned buffers of a completed accmos_run() call. The
-// AccmosRunResult must have been filled by a run returning ACCMOS_ABI_OK
-// against buffers sized from the library's AccmosModelInfo.
+// Decodes the caller-owned buffers of a completed accmos_run() call.
+// `collectSignals` must be the emitter's monitored-signal list; `covPlan`
+// may be null when the program was generated without coverage. Counts,
+// capacities, actor ids, diagnostic kinds and custom indices are
+// range-checked: any violation throws ResultParseError, never returns a
+// partial result.
 SimulationResult decodeBinaryResults(
     const AccmosRunResult& res, const FlatModel& fm,
-    const CoveragePlan* covPlan, const DiagnosisPlan* diagPlan,
-    const std::vector<int>& collectSignals,
+    const CoveragePlan* covPlan, const std::vector<int>& collectSignals,
     const std::vector<CustomDiagnostic>& custom);
+
+// Decodes the bytes of an accmos_runner result file (layout in run_abi.h).
+// The file crossed a process boundary from a child that may have died
+// mid-write, so before decoding it is checked for exact length, magic,
+// ABI version, a geometry matching the host plans (geometryMismatch) and
+// diagnostic counts within their capacities. A run status other than OK
+// or ETIMEOUT also throws ResultParseError.
+SimulationResult decodeRunnerFile(const std::string& bytes,
+                                  const FlatModel& fm,
+                                  const CoveragePlan* covPlan,
+                                  const std::vector<int>& collectSignals,
+                                  const std::vector<CustomDiagnostic>& custom);
 
 }  // namespace accmos

@@ -1,5 +1,5 @@
-// The in-process execution ABI between the host engine and a generated
-// model compiled as a shared library.
+// The execution ABI between the host engine and a generated model compiled
+// as a shared library.
 //
 // This header is the single source of truth for the contract: the host
 // includes it directly, and the exact text of this file is embedded into
@@ -13,8 +13,7 @@
 //  - The library exports two mandatory C symbols:
 //      int accmos_model_info(AccmosModelInfo*);
 //      int accmos_run(const AccmosRunArgs*, AccmosRunResult*);
-//    and, when built with batch support (ABI v2, -DACCMOS_BATCH_LANES=N),
-//    a third optional one:
+//    and, when built with -DACCMOS_BATCH_LANES=N, a third optional one:
 //      int accmos_run_batch(const AccmosBatchRunArgs*, AccmosBatchRunResult*);
 //  - All result buffers are CALLER-owned; the library never allocates
 //    memory that outlives a call. The caller sizes them from
@@ -24,42 +23,23 @@
 //    concurrently (this is what lets campaign/gen workers share a single
 //    dlopen'd simulator).
 //  - Both sides check structSize and abiVersion; any mismatch fails the
-//    call with a nonzero code instead of reading garbage.
-//  - Values cross the boundary pre-widened exactly like the text protocol:
-//    float-typed signals as IEEE-754 doubles (bit pattern in a uint64_t),
-//    integer-typed signals as two's-complement int64_t — so a binary
-//    decode is bit-identical to parsing the printed result block.
+//    call with a nonzero code instead of reading garbage. Because this
+//    text is part of every generated source, a library always has exactly
+//    the host's ACCMOS_ABI_VERSION; the checks guard against foreign
+//    files, not older builds.
+//  - Values cross the boundary pre-widened: float-typed signals as
+//    IEEE-754 doubles (bit pattern in a uint64_t), integer-typed signals as
+//    two's-complement int64_t.
+//  - The process backend runs the same library in the accmos_runner
+//    executable, which writes one AccmosRunnerFile (below) per run.
 #ifndef ACCMOS_RUN_ABI_H_
 #define ACCMOS_RUN_ABI_H_
 
 #include <stdint.h>
 
-/* Version 2 adds the batched entry point and the batchLanes capability
- * field appended to AccmosModelInfo. Version 3 appends a wall-clock
- * deadline and a max-step budget to the run-args structs (scalar and
- * batch) and defines the ETIMEOUT retirement status — AccmosModelInfo is
- * unchanged from v2. ACCMOS_RUN_ABI_FORCE_V1 is a test hook: defining it
- * before this header yields a genuine version-1 build (88-byte info
- * struct, no batch declarations), which is how the fallback tests
- * manufacture a real v1 library rather than simulating one. */
-#ifdef ACCMOS_RUN_ABI_FORCE_V1
-#define ACCMOS_ABI_VERSION 1u
-#else
+/* Version 3: scalar and batch entry points, deadline and step-budget
+ * fields in the run args, and the ETIMEOUT retirement status. */
 #define ACCMOS_ABI_VERSION 3u
-#endif
-
-/* sizeof(AccmosModelInfo) in a version-1 build: the negotiation handshake
- * retries accmos_model_info with this size when the full-size query is
- * rejected, so v3 hosts can still load v1 libraries. */
-#define ACCMOS_ABI_INFO_SIZE_V1 88u
-
-/* sizeof(AccmosRunArgs) / sizeof(AccmosBatchRunArgs) before v3 appended
- * the deadline fields. A library's accmos_run checks structSize against
- * ITS OWN sizeof, so a v3 host calling into an older library must stamp
- * the older, smaller size (the leading layout is unchanged — v3 only
- * appends). The v1 scalar args layout is identical to v2's. */
-#define ACCMOS_ABI_RUN_ARGS_SIZE_V2 32u
-#define ACCMOS_ABI_BATCH_ARGS_SIZE_V2 40u
 
 /* accmos_run / accmos_model_info return codes. */
 enum {
@@ -69,7 +49,7 @@ enum {
   ACCMOS_ABI_EBUFFER = 3,  /* a caller buffer is missing or mis-sized */
   ACCMOS_ABI_EALLOC = 4,   /* model-state allocation failed */
   ACCMOS_ABI_EBATCH = 5,   /* bad batch geometry (lane count, lane array) */
-  ACCMOS_ABI_ETIMEOUT = 6, /* run retired by deadline / step budget (v3);
+  ACCMOS_ABI_ETIMEOUT = 6, /* run retired by deadline / step budget;
                             * result fields up to the retirement point are
                             * valid and timedOut is set */
 };
@@ -97,14 +77,9 @@ typedef struct AccmosModelInfo {
   uint64_t numCollect;     /* monitored signals, in emission order */
   uint64_t collectValsLen; /* sum of monitored-signal widths */
   uint64_t outValsLen;     /* sum of root-outport widths */
-#if ACCMOS_ABI_VERSION >= 2u
   /* Batch capability: maximum lanes accmos_run_batch accepts per call, or
-   * 0 when the library was compiled without batch support. A v1 library
-   * writes only the first ACCMOS_ABI_INFO_SIZE_V1 bytes, so on the host
-   * side this field reads 0 for v1 libraries (the host zero-fills the
-   * struct before the query) — exactly the "no batch" answer wanted. */
+   * 0 when the library was compiled without batch support. */
   uint64_t batchLanes;
-#endif
 } AccmosModelInfo;
 
 typedef struct AccmosRunArgs {
@@ -113,8 +88,7 @@ typedef struct AccmosRunArgs {
   uint64_t maxSteps;
   double timeBudgetSec; /* <= 0 = unlimited */
   uint64_t seed;
-#if ACCMOS_ABI_VERSION >= 3u
-  /* Fault-containment limits (v3). deadlineSeconds is an ABSOLUTE point
+  /* Fault-containment limits. deadlineSeconds is an ABSOLUTE point
    * on the monotonic clock, expressed as seconds since its epoch
    * (std::chrono::steady_clock on the host; the generated code reads the
    * same clock) — 0 means no deadline. The step loop polls it every K
@@ -125,11 +99,9 @@ typedef struct AccmosRunArgs {
    * result), these mark the result timedOut — a containment event. */
   double deadlineSeconds;
   uint64_t stepBudget;
-#endif
 } AccmosRunArgs;
 
-/* One aggregated diagnostic event: mirrors a "DIAG actor kind first count"
- * line of the text protocol. */
+/* One aggregated diagnostic event: (actor, kind) first step and count. */
 typedef struct AccmosDiagRec {
   int32_t actorId;
   int32_t kind;
@@ -137,7 +109,7 @@ typedef struct AccmosDiagRec {
   uint64_t count;
 } AccmosDiagRec;
 
-/* One fired custom diagnosis: mirrors a "CUSTOM idx first count" line. */
+/* One fired custom diagnosis: index, first step and count. */
 typedef struct AccmosCustomRec {
   uint64_t index;
   uint64_t firstStep;
@@ -151,9 +123,7 @@ typedef struct AccmosRunResult {
   /* ---- outputs ---- */
   uint64_t stepsExecuted;
   uint32_t stoppedEarly;
-  uint32_t timedOut; /* run was retired by deadline/stepBudget (v3 sets
-                      * this; pre-v3 libraries wrote 0 here — the field
-                      * was reserved0, so the layout is unchanged) */
+  uint32_t timedOut; /* run was retired by deadline/stepBudget */
   uint64_t execNs;
 
   /* Coverage bitmaps, one raw 0/1 byte per slot. cov[m] may be null when
@@ -162,8 +132,8 @@ typedef struct AccmosRunResult {
   uint8_t* cov[4];
   uint64_t covLen[4];
 
-  /* Diagnostic records, appended in (actor-major, kind) order — the same
-   * order the text protocol prints them. diagCap must be at least
+  /* Diagnostic records, appended in (actor-major, kind) order. diagCap
+   * must be at least
    * numActors * numDiagKinds (the worst case). */
   AccmosDiagRec* diags;
   uint64_t diagCap;
@@ -186,7 +156,6 @@ typedef struct AccmosRunResult {
   uint64_t outValsLen;
 } AccmosRunResult;
 
-#if ACCMOS_ABI_VERSION >= 2u
 /* Arguments for one fused batch call: numLanes independent runs that share
  * a single structure-of-arrays state block and one fused step loop. Lane l
  * simulates seeds[l]; everything else (step/budget limits) is shared. */
@@ -197,14 +166,12 @@ typedef struct AccmosBatchRunArgs {
   uint64_t maxSteps;
   double timeBudgetSec;  /* <= 0 = unlimited; applies to the whole batch */
   const uint64_t* seeds; /* numLanes entries */
-#if ACCMOS_ABI_VERSION >= 3u
   /* Same semantics as the scalar fields (see AccmosRunArgs). The deadline
    * applies to the whole fused batch: when it passes, every lane not yet
    * retired is marked timedOut and the call returns ETIMEOUT (lanes that
    * already finished keep their normal results). */
   double deadlineSeconds;
   uint64_t stepBudget;
-#endif
 } AccmosBatchRunArgs;
 
 /* Batch results are an array of per-lane scalar result blocks: lane l's
@@ -219,17 +186,37 @@ typedef struct AccmosBatchRunResult {
   uint64_t numLanes;   /* must equal args->numLanes */
   AccmosRunResult* lanes;
 } AccmosBatchRunResult;
-#endif /* ACCMOS_ABI_VERSION >= 2u */
 
 typedef int (*AccmosModelInfoFn)(AccmosModelInfo*);
 typedef int (*AccmosRunFn)(const AccmosRunArgs*, AccmosRunResult*);
-#if ACCMOS_ABI_VERSION >= 2u
 typedef int (*AccmosRunBatchFn)(const AccmosBatchRunArgs*,
                                 AccmosBatchRunResult*);
-#endif
 
 #define ACCMOS_SYM_MODEL_INFO "accmos_model_info"
 #define ACCMOS_SYM_RUN "accmos_run"
 #define ACCMOS_SYM_RUN_BATCH "accmos_run_batch"
+
+/* The result file accmos_runner writes for the process backend: this
+ * header, then every result buffer of one accmos_run call in AccmosRunResult
+ * order — cov[0..3] (covLen[m] bytes each), diags (numActors *
+ * numDiagKinds records), customs (numCustom records), collectCounts,
+ * collectVals, outVals — each section zero-padded to a multiple of 8 bytes
+ * so the host can decode it in place. A file, not stdout: the host merges
+ * the child's stdout and stderr into one pipe. */
+#define ACCMOS_RUNNER_FILE_MAGIC 0x464d4341u /* "ACMF" little-endian */
+
+typedef struct AccmosRunnerFileHeader {
+  uint32_t magic;      /* ACCMOS_RUNNER_FILE_MAGIC */
+  uint32_t abiVersion; /* the runner's ACCMOS_ABI_VERSION */
+  int32_t rc;          /* accmos_run's return code */
+  uint32_t stoppedEarly;
+  uint32_t timedOut;
+  uint32_t reserved; /* 0 */
+  AccmosModelInfo info;
+  uint64_t stepsExecuted;
+  uint64_t execNs;
+  uint64_t diagCount;
+  uint64_t customCount;
+} AccmosRunnerFileHeader;
 
 #endif /* ACCMOS_RUN_ABI_H_ */

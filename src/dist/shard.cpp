@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "codegen/compiler_driver.h"
+#include "codegen/fault.h"
 #include "opt/pipeline.h"
 #include "parser/model_io.h"
 #include "serve/protocol.h"
@@ -370,15 +371,14 @@ int runShardWorker(int fd) {
     return 1;
   }
 
-  // Test hook: die unceremoniously when told to, so the worker-death
-  // containment path is exercisable without a real crash.
-  if (const char* abortShard = std::getenv("ACCMOS_SHARD_ABORT");
-      abortShard != nullptr &&
-      std::string(abortShard) == std::to_string(req.shardIndex)) {
-    ::_exit(134);
-  }
-
   try {
+    // Test hook (ACCMOS_FAULT=shard-abort:shard=I): die unceremoniously,
+    // so the worker-death containment path is exercisable without a real
+    // crash.
+    if (const FaultPlan faults = faultPlanFromEnv();
+        faults.shardAbort && faults.shardAbortIndex == req.shardIndex) {
+      ::_exit(134);
+    }
     LoadedModel loaded = loadModelFromString(req.modelText);
     Simulator sim(*loaded.model);
     OptStats optStats;

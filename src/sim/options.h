@@ -20,13 +20,14 @@ enum class Engine : uint8_t {
 
 std::string_view engineName(Engine e);
 
-// How the AccMoS engine executes the compiled simulator.
-//   Dlopen  — compile -shared -fPIC, dlopen once, run in-process through the
-//             binary result ABI (no subprocess, no text parsing per run).
-//             Falls back to Process automatically when the library cannot
-//             be built or loaded.
-//   Process — compile an executable, fork/exec per run, parse the text
-//             result protocol (the original backend; also the fallback).
+// How the AccMoS engine executes the compiled simulator. Both modes run
+// the same shared library (compiled -shared -fPIC once per model).
+//   Dlopen  — dlopen once, run in-process through the binary result ABI
+//             (no subprocess per run). Falls back to Process automatically
+//             when the library cannot be loaded.
+//   Process — spawn accmos_runner per run, which runs the library in a
+//             child process and writes the same buffers to a result file
+//             (OS isolation; also the fallback).
 enum class ExecMode : uint8_t { Dlopen, Process };
 
 std::string_view execModeName(ExecMode m);
@@ -134,7 +135,7 @@ struct SimOptions {
   // Fault-containment deadlines (0 = unlimited). Unlike timeBudgetSec —
   // a soft "stop collecting after N seconds" knob honoured mid-loop — these
   // mark the run as *timed out*: the generated code retires the run with
-  // SimulationResult::timedOut set (ABI v3 deadlineSeconds / stepBudget),
+  // SimulationResult::timedOut set (ABI deadlineSeconds / stepBudget),
   // and the subprocess backend additionally arms a host-side watchdog that
   // kills the child's process group if the cooperative check never fires.
   double runTimeoutSec = 0.0;

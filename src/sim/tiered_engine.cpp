@@ -22,7 +22,7 @@ double secondsSince(Clock::time_point t0) {
 // Capabilities only the generated code (or the real compiler) has; a run
 // that needs one of these must not be answered by the interpreter tier.
 bool mustForceNative(const SimOptions& opt) {
-  // Cooperative deadlines / step budgets are an ABI v3 feature of the
+  // Cooperative deadlines / step budgets are a run-ABI feature of the
   // generated code; the interpreter cannot retire a run as timed out.
   if (opt.runTimeoutSec > 0.0 || opt.stepBudget > 0) return true;
   // Expression customs pair a host callback with a C++ snippet; nothing

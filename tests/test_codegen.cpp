@@ -62,10 +62,12 @@ TEST(Codegen, GeneratedSourceHasPaperStructure) {
   opt.maxSteps = 10;
   AccMoSEngine engine(sim.flatModel(), opt, TestCaseSpec{});
   const std::string& src = engine.generatedSource();
-  // The three structural pieces of paper Fig. 5.
+  // The three structural pieces of paper Fig. 5; the simulation entry is
+  // the run ABI's accmos_run — one shared library, no main().
   EXPECT_NE(src.find("Model_Init"), std::string::npos);
   EXPECT_NE(src.find("Model_Exe"), std::string::npos);
-  EXPECT_NE(src.find("int main"), std::string::npos);
+  EXPECT_NE(src.find("extern \"C\" int accmos_run("), std::string::npos);
+  EXPECT_EQ(src.find("main("), std::string::npos);
   // Instrumentation: coverage bitmap writes and a generated diagnostic
   // function ("implementation defined elsewhere, call at a location").
   EXPECT_NE(src.find("accmos_cov_actor["), std::string::npos);
@@ -166,7 +168,7 @@ TEST(Codegen, ExpressionCustomDiagnosticNeedsCppCondition) {
 
 TEST(Codegen, CompileErrorCarriesLog) {
   CompilerDriver driver;
-  EXPECT_THROW(driver.compile("int main( {", "bad", "-O0"), CompileError);
+  EXPECT_THROW(driver.compile("int f( {", "bad", "-O0"), CompileError);
 }
 
 TEST(Codegen, UninstrumentedCodeOmitsInstrumentation) {

@@ -4,11 +4,14 @@
 // sidecar and falls back to a recompile — never to executing the damaged
 // file. The source carries no run parameters, so sweeping seeds and step
 // counts hits one entry, and single runs build the scalar-only library.
+// One artifact per model: process runs and fault-ladder fallbacks run the
+// already-compiled library and never invoke the compiler again.
 // Plus the CompilerDriver error-path regression: uncompilable source
 // surfaces compiler stderr through a catchable ModelError.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -20,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_models/sample_overflow.h"
 #include "codegen/accmos_engine.h"
 #include "codegen/compiler_driver.h"
 #include "opt/pipeline.h"
@@ -236,42 +240,33 @@ TEST_F(CompileCacheTest, CacheKeyIsStable) {
             CompilerDriver::cacheKey("int main(){ }", "-O2"));
 }
 
-// The artifact kind is part of the content address: identical source
-// compiled as an executable and as a shared library must never share a
-// cache entry — an exe handed to dlopen (or a .so handed to exec) would
-// fail in ways the sidecar cannot catch.
-TEST_F(CompileCacheTest, ArtifactKindIsPartOfTheCacheKey) {
-  const std::string src = "int main(){}";
-  EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::Executable),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib));
-  // The kind defaults to Executable, so pre-existing executable entries
-  // keep their addresses.
+// Every compile produces the one artifact kind, a shared library, under
+// one content address: the kind argument is the default, the output is an
+// ELF shared object (e_type ET_DYN), and a recompile of the same source
+// hits the entry.
+TEST_F(CompileCacheTest, SharedLibIsTheOnlyArtifact) {
+  const std::string src = "int f(){ return 0; }";
   EXPECT_EQ(CompilerDriver::cacheKey(src, "-O2"),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::Executable));
+            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib));
 
-  // Compiling the same source both ways yields two distinct artifacts,
-  // each with its own entry that hits independently afterwards.
   CompilerDriver driver;
-  const std::string source = "int main() { return 0; }\n";
-  auto exe = driver.compile(source, "both", "-O0", ArtifactKind::Executable);
-  auto lib = driver.compile(source, "both", "-O0", ArtifactKind::SharedLib);
-  EXPECT_NE(exe.exePath, lib.exePath);
-  EXPECT_FALSE(exe.cacheHit);
+  auto lib = driver.compile(src, "only", "-O0");
   EXPECT_FALSE(lib.cacheHit);
-  auto exe2 = driver.compile(source, "both", "-O0", ArtifactKind::Executable);
-  auto lib2 = driver.compile(source, "both", "-O0", ArtifactKind::SharedLib);
-  EXPECT_TRUE(exe2.cacheHit);
-  EXPECT_TRUE(lib2.cacheHit);
-  EXPECT_EQ(exe2.exePath, exe.exePath);
-  EXPECT_EQ(lib2.exePath, lib.exePath);
+  std::string head(18, '\0');
+  std::ifstream(lib.exePath, std::ios::binary).read(head.data(), 18);
+  EXPECT_EQ(head.substr(0, 4), "\x7f" "ELF");
+  EXPECT_EQ(head[16], 3) << "not ET_DYN";
+  auto again = driver.compile(src, "only", "-O0", ArtifactKind::SharedLib);
+  EXPECT_TRUE(again.cacheHit);
+  EXPECT_EQ(again.exePath, lib.exePath);
 }
 
 // The batch capability is compiled in via -DACCMOS_BATCH_LANES=N without
 // changing the generated source, so the extra flags must be part of the
-// content address (the same bug class ArtifactKind fixed above): a cached
-// batchless library served to a batch-requesting engine would silently
-// drop the kernel — every runBatch() falling back to scalar — and the
-// reverse would leak the kernel into engines that asked for none.
+// content address: a cached batchless library served to a batch-requesting
+// engine would silently drop the kernel — every runBatch() falling back to
+// scalar — and the reverse would leak the kernel into engines that asked
+// for none.
 TEST_F(CompileCacheTest, BatchCapabilityIsPartOfTheCacheKey) {
   const std::string src = "int main(){}";
   EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib),
@@ -415,7 +410,8 @@ TEST_F(CompileCacheTest, GeneratedSourceIgnoresRunParameters) {
 
 // A warm single run with a fresh seed and step count is a cache hit on
 // both backends: no compiler invocation, and the observations still match
-// the SSE interpreter's.
+// the SSE interpreter's. Both backends run the one scalar library, so only
+// the first cold run (dlopen) compiles.
 TEST_F(CompileCacheTest, WarmSingleRunWithNewSeedAndStepsDoesNotCompile) {
   auto t = saturatedGainModel();
   for (ExecMode mode : {ExecMode::Dlopen, ExecMode::Process}) {
@@ -425,7 +421,9 @@ TEST_F(CompileCacheTest, WarmSingleRunWithNewSeedAndStepsDoesNotCompile) {
     tests.seed = 11;
     const uint64_t cold0 = CompilerDriver::compilerInvocations();
     SimulationResult cold = simulate(t->model(), opt, tests);
-    EXPECT_EQ(CompilerDriver::compilerInvocations() - cold0, 1u) << label;
+    EXPECT_EQ(CompilerDriver::compilerInvocations() - cold0,
+              mode == ExecMode::Dlopen ? 1u : 0u)
+        << label;
     const size_t entries = cacheEntries(dir_);
 
     opt.maxSteps = 77;
@@ -525,7 +523,7 @@ TEST_F(CompileCacheTest, SingleRunsBuildScalarCampaignAddsTheLaneBuild) {
 TEST_F(CompileCacheTest, UncompilableSourceSurfacesCompilerStderr) {
   CompilerDriver driver;
   try {
-    driver.compile("int main() { return not_a_symbol; }", "broken", "-O0");
+    driver.compile("int f() { return not_a_symbol; }", "broken", "-O0");
     FAIL() << "expected CompileError";
   } catch (const ModelError& e) {
     std::string msg = e.what();
@@ -681,6 +679,67 @@ TEST_F(CompileCacheTest, CrossProcessColdCompileIsSingleFlight) {
   };
   EXPECT_EQ(observationLines(dir_ / "race_a.out"),
             observationLines(dir_ / "race_b.out"));
+}
+
+// One artifact per model: the process backend runs the very library a
+// dlopen run compiled. On a fresh cache a dlopen simulate() then a
+// process simulate() of the same model make no further compiler
+// invocation, add no cache entry, and observe identically.
+TEST_F(CompileCacheTest, ProcessRunReusesTheDlopenLibrary) {
+  EnvGuard fault("ACCMOS_FAULT", nullptr);
+  auto model = sampleOverflowModel();
+  TestCaseSpec tests = sampleOverflowStimulus();
+  tests.ports[0].max = 1e6;  // scale up so the overflow fires in-budget
+  tests.ports[1].max = 1e6;
+  SimOptions opt = accOptions("-O0");
+  opt.maxSteps = 10000;
+  opt.tier = Tier::Native;  // an ambient ACCMOS_TIER must not dodge compiles
+  auto countBins = [&] {
+    size_t n = 0;
+    for (const auto& e : fs::directory_iterator(dir_)) {
+      n += e.path().extension() == ".bin";
+    }
+    return n;
+  };
+
+  opt.execMode = ExecMode::Dlopen;
+  SimulationResult dl = simulate(*model, opt, tests);
+  ASSERT_EQ(dl.execMode, "dlopen");
+  const size_t bins = countBins();
+  EXPECT_EQ(bins, 1u);
+
+  const uint64_t before = CompilerDriver::compilerInvocations();
+  opt.execMode = ExecMode::Process;
+  SimulationResult pr = simulate(*model, opt, tests);
+  EXPECT_EQ(pr.execMode, "process");
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - before, 0u);
+  EXPECT_EQ(countBins(), bins);
+  EXPECT_FALSE(dl.diagnostics.empty()) << "Sample model should overflow";
+  test::expectIdenticalResults(dl, pr, "dlopen then process");
+}
+
+// The fault ladder never compiles: an engine quarantined by in-process
+// crashes serves every subprocess fallback run with the runner on the
+// library it already built.
+TEST_F(CompileCacheTest, QuarantinedEngineFallbackNeverCompiles) {
+  EnvGuard fault("ACCMOS_FAULT", "crash@10");
+  auto t = gainModel(2.0);
+  Simulator sim(t->model());
+  SimOptions opt = accOptions("-O0");
+  opt.execMode = ExecMode::Dlopen;
+  AccMoSEngine engine(sim.flatModel(), opt, TestCaseSpec{});
+  ASSERT_EQ(engine.execModeUsed(), ExecMode::Dlopen);
+
+  const uint64_t before = CompilerDriver::compilerInvocations();
+  for (int k = 0; k < 3; ++k) {
+    SimulationResult r = engine.runContained();
+    ASSERT_TRUE(r.failed) << k;
+    EXPECT_EQ(r.failure.kind, FailureKind::Crash) << k;
+    EXPECT_EQ(r.failure.signal, SIGSEGV) << k;
+    EXPECT_EQ(r.failure.backend, "process") << k;
+  }
+  EXPECT_TRUE(engine.quarantined());
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - before, 0u);
 }
 
 }  // namespace

@@ -75,8 +75,7 @@ class DistTest : public ::testing::Test {
         faultEnv_("ACCMOS_FAULT", nullptr),
         execEnv_("ACCMOS_EXEC_MODE", nullptr),
         batchEnv_("ACCMOS_BATCH", nullptr),
-        tierEnv_("ACCMOS_TIER", nullptr),
-        abortEnv_("ACCMOS_SHARD_ABORT", nullptr) {
+        tierEnv_("ACCMOS_TIER", nullptr) {
     clearInterrupt();
   }
   ~DistTest() override {
@@ -103,7 +102,6 @@ class DistTest : public ::testing::Test {
   EnvGuard execEnv_;
   EnvGuard batchEnv_;
   EnvGuard tierEnv_;
-  EnvGuard abortEnv_;
   static int counter_;
 };
 
@@ -357,12 +355,12 @@ TEST_F(DistTest, ShardedBitIdenticalWithContainedCrashAndHangSeeds) {
 }
 
 // ---- Worker-process death -----------------------------------------------
-// ACCMOS_SHARD_ABORT=<i> makes shard i's worker _exit() right after
-// reading its request: every spec of that shard must surface as a
+// ACCMOS_FAULT=shard-abort:shard=<i> makes shard i's worker _exit() right
+// after reading its request: every spec of that shard must surface as a
 // contained RunFailure (kind Crash, backend "shard-worker"), the other
 // shards' rows stay bit-identical, and the coordinator never aborts.
 TEST_F(DistTest, WorkerDeathSurfacesAsPerShardFailuresNotAbort) {
-  EnvGuard abortShard("ACCMOS_SHARD_ABORT", "1");
+  EnvGuard abortShard("ACCMOS_FAULT", "shard-abort:shard=1");
   const std::string text = gainModelText();
   const auto specs = specsFor(8);
   SimOptions opt = distSimOptions();

@@ -4,11 +4,11 @@
 // SimulationResults — outputs, coverage bitmaps, diagnostics, monitors —
 // for single runs, campaigns at any worker count and any batch lane width,
 // and heterogeneous generator-style spec batches. Plus the backend
-// plumbing itself: the batch fallback matrix (batchless library, ABI-v1
-// library, batching disabled, ACCMOS_BATCH_FAIL hook — all degrade to
-// scalar with execMode reporting what actually ran), automatic fallback to
-// Process when dlopen is unavailable, ModelLib rejecting unloadable files,
-// and the ACCMOS_EXEC_MODE / ACCMOS_BATCH environment defaults.
+// plumbing itself: the batch fallback matrix (batchless library, batching
+// disabled, the batch-fail fault hook — all degrade to scalar with
+// execMode reporting what actually ran), automatic fallback to Process
+// when dlopen is unavailable, ModelLib rejecting unloadable files, and the
+// ACCMOS_EXEC_MODE / ACCMOS_BATCH environment defaults.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -104,7 +104,7 @@ TEST(ExecModes, SingleRunsAgreeOnTheSampleModel) {
 }
 
 // Signal monitors and compiled custom diagnostics cross the binary ABI
-// through dedicated records; both must match the text protocol exactly.
+// through dedicated records; both backends must decode them identically.
 TEST(ExecModes, MonitorsAndCustomDiagnosticsAgree) {
   Tiny t;
   t.inport("In1", 1);
@@ -375,29 +375,17 @@ TEST(ExecModes, BatchFallbackMatrixDegradesToScalar) {
     expectScalarFallback(engine, "dlopen", "batchless library");
   }
   {
-    // ACCMOS_BATCH_FAIL: the hook that simulates a defective kernel; read
-    // per call, so an engine built with the capability still falls back.
-    EnvGuard fail("ACCMOS_BATCH_FAIL", "1");
-    expectScalarFallback(batched, "dlopen", "ACCMOS_BATCH_FAIL");
+    // batch-fail: the hook that simulates a defective kernel; read per
+    // call, so an engine built with the capability still falls back.
+    EnvGuard fail("ACCMOS_FAULT", "batch-fail");
+    expectScalarFallback(batched, "dlopen", "batch-fail");
   }
   // ...and the hook releases: the same engine batches again.
   EXPECT_EQ(batched.batchLanes(), 4u);
   {
-    // An ABI-v1 library (built via the emitter's ACCMOS_EMIT_ABI_V1 hook):
-    // ModelLib must negotiate down to the 88-byte v1 info struct, load it,
-    // report no batch capability, and run scalar.
-    EnvGuard v1("ACCMOS_EMIT_ABI_V1", "1");
-    SimOptions opt = modeOptions(ExecMode::Dlopen, 300);
-    opt.batchLanes = 4;  // requested, but a v1 library cannot carry it
-    AccMoSEngine engine(sim.flatModel(), opt, tests);
-    EXPECT_EQ(engine.execModeUsed(), ExecMode::Dlopen)
-        << "v1 library should load through negotiation, not fall back";
-    expectScalarFallback(engine, "dlopen", "ABI-v1 library");
-  }
-  {
     // dlopen unavailable entirely: runBatch() degrades all the way to the
     // subprocess backend.
-    EnvGuard fail("ACCMOS_DLOPEN_FAIL", "1");
+    EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
     SimOptions opt = modeOptions(ExecMode::Dlopen, 300);
     opt.batchLanes = 4;
     AccMoSEngine engine(sim.flatModel(), opt, tests);
@@ -438,6 +426,20 @@ TEST(ExecModes, EnvironmentSelectsTheDefaultBatchLanes) {
   EXPECT_EQ(defaultBatchLanes(), 8u);
 }
 
+// The time budget is a soft stop checked every 1024 steps, so any budget
+// shorter than 1024 steps' work stops both backends at exactly step 1024.
+// The process backend must receive it at full precision: a sub-microsecond
+// budget printed with six decimals reads as 0, i.e. unlimited.
+TEST(ExecModes, SubMicrosecondBudgetReachesTheRunner) {
+  auto t = test::unaryConstModel("Abs", -3.0);
+  for (ExecMode mode : {ExecMode::Dlopen, ExecMode::Process}) {
+    SimOptions opt = modeOptions(mode, 200000);
+    opt.timeBudgetSec = 1e-7;
+    SimulationResult r = simulate(t->model(), opt, TestCaseSpec{});
+    EXPECT_EQ(r.stepsExecuted, 1024u) << execModeName(mode);
+  }
+}
+
 // When the library cannot be loaded the engine must degrade to the
 // subprocess backend, not fail — same results, execMode records the truth.
 TEST(ExecModes, DlopenFailureFallsBackToProcess) {
@@ -449,7 +451,7 @@ TEST(ExecModes, DlopenFailureFallsBackToProcess) {
       simulate(t->model(), modeOptions(ExecMode::Dlopen), tests);
   EXPECT_EQ(clean.execMode, "dlopen");
 
-  EnvGuard fail("ACCMOS_DLOPEN_FAIL", "1");
+  EnvGuard fail("ACCMOS_FAULT", "dlopen-fail");
   AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen),
                       tests);
   EXPECT_EQ(engine.execModeUsed(), ExecMode::Process);

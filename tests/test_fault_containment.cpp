@@ -10,6 +10,7 @@
 // killed mid-publish.
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -278,27 +279,6 @@ TEST_F(FaultTest, TwoStrikesQuarantineEngineOntoSubprocess) {
   EXPECT_EQ(r3.failure.backend, "process");
 }
 
-// A pre-v3 library has no cooperative deadline checks, so deadline-armed
-// runs must route around it to the watchdogged subprocess backend —
-// while deadline-free runs still use it in-process.
-TEST_F(FaultTest, V1LibraryRoutesDeadlineRunsToSubprocess) {
-  EnvGuard v1("ACCMOS_EMIT_ABI_V1", "1");
-  Tiny t;
-  FlatModel fm = wrapGainModel(t);
-  SimOptions opt = faultOptions();
-  opt.execMode = ExecMode::Dlopen;
-  opt.runTimeoutSec = 0.0;
-
-  AccMoSEngine engine(fm, opt, fullRangeStimulus());
-  EXPECT_EQ(engine.run().execMode, "dlopen");
-  EXPECT_EQ(engine.run(0, -1.0, std::nullopt).execMode, "dlopen");
-
-  SimOptions armed = opt;
-  armed.runTimeoutSec = 0.5;
-  AccMoSEngine guarded(fm, armed, fullRangeStimulus());
-  EXPECT_EQ(guarded.run().execMode, "process");
-}
-
 // The generator keeps searching when every candidate faults: failures are
 // bookkept per candidate, nothing is accepted, and the loop still
 // terminates on its budget instead of aborting.
@@ -342,21 +322,50 @@ TEST_F(FaultTest, MalformedFaultSpecThrows) {
     EnvGuard fault("ACCMOS_FAULT", "compile-fail:sig=0");
     EXPECT_THROW(faultPlanFromEnv(), ModelError);
   }
+  for (const char* bad :
+       {"shard-abort", "shard-abort:shard=", "shard-abort:shard=x",
+        "shard-abort:seed=1", "shard-abort@3:shard=1"}) {
+    EnvGuard fault("ACCMOS_FAULT", bad);
+    EXPECT_THROW(faultPlanFromEnv(), ModelError) << bad;
+  }
+}
+
+// shard-abort names one shard worker to kill. It plants nothing in the
+// generated source, so it neither re-keys the cache nor pins the tier.
+TEST_F(FaultTest, ShardAbortParsesItsShardIndex) {
+  EnvGuard fault("ACCMOS_FAULT", "shard-abort:shard=1");
+  const FaultPlan plan = faultPlanFromEnv();
+  EXPECT_TRUE(plan.shardAbort);
+  EXPECT_EQ(plan.shardAbortIndex, 1u);
+  EXPECT_FALSE(plan.affectsEmit());
+  EXPECT_FALSE(plan.compileFail);
 }
 
 // ---------------------------------------------------------------------
 // CompilerDriver: transient-retry, non-transient decode, watchdogs.
 // Each test compiles a UNIQUE trivial source (the fault hooks stage the
 // failure around the real compiler invocation, so a cache hit would skip
-// the code under test).
+// the code under test). The driver builds shared libraries only, so the
+// compile side is checked by loading the result; the run side execs a
+// fixed program, /bin/sh.
 
 std::string uniqueSource(const std::string& tag, const std::string& body) {
   return "// " + tag + " " + std::to_string(::getpid()) + "\n" + body;
 }
 
 constexpr const char* kHelloBody =
-    "#include <cstdio>\n"
-    "int main() { std::printf(\"hello\\n\"); return 0; }\n";
+    "extern \"C\" int accmos_test_hello() { return 42; }\n";
+
+// Loads a library compiled from kHelloBody and calls its one function:
+// 42 proves the driver produced a real, loadable shared library.
+int callHello(const std::string& lib) {
+  void* h = ::dlopen(lib.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (h == nullptr) return -1;
+  auto fn = reinterpret_cast<int (*)()>(::dlsym(h, "accmos_test_hello"));
+  const int v = fn != nullptr ? fn() : -1;
+  ::dlclose(h);
+  return v;
+}
 
 TEST_F(FaultTest, CompileFailOnceIsRetriedTransparently) {
   EnvGuard fault("ACCMOS_FAULT", "compile-fail:once");
@@ -364,7 +373,7 @@ TEST_F(FaultTest, CompileFailOnceIsRetriedTransparently) {
   CompileOutput out = driver.compile(uniqueSource("retry-once", kHelloBody),
                                      "retry_once", "-O0");
   EXPECT_GE(out.retries, 1);
-  EXPECT_EQ(driver.run(out.exePath, {}), "hello\n");
+  EXPECT_EQ(callHello(out.exePath), 42);
 }
 
 TEST_F(FaultTest, CompileFailExitIsNotRetried) {
@@ -409,13 +418,8 @@ TEST_F(FaultTest, SlowCompileTripsTheWatchdog) {
 
 TEST_F(FaultTest, RunDecodesSignalDeath) {
   CompilerDriver driver;
-  CompileOutput out = driver.compile(
-      uniqueSource("sigsegv",
-                   "#include <csignal>\n"
-                   "int main() { std::raise(SIGSEGV); return 0; }\n"),
-      "crasher", "-O0");
   try {
-    driver.run(out.exePath, {});
+    driver.run("/bin/sh", {"-c", "kill -SEGV $$"});
     FAIL() << "expected SimCrashError";
   } catch (const SimCrashError& e) {
     EXPECT_EQ(e.terminatingSignal(), SIGSEGV);
@@ -426,10 +430,8 @@ TEST_F(FaultTest, RunDecodesSignalDeath) {
 
 TEST_F(FaultTest, RunDecodesNonzeroExit) {
   CompilerDriver driver;
-  CompileOutput out = driver.compile(
-      uniqueSource("exit9", "int main() { return 9; }\n"), "exiter", "-O0");
   try {
-    driver.run(out.exePath, {});
+    driver.run("/bin/sh", {"-c", "exit 9"});
     FAIL() << "expected SimCrashError";
   } catch (const SimCrashError& e) {
     EXPECT_EQ(e.terminatingSignal(), 0);  // exited, not signalled
@@ -440,13 +442,9 @@ TEST_F(FaultTest, RunDecodesNonzeroExit) {
 
 TEST_F(FaultTest, RunWatchdogKillsHungBinary) {
   CompilerDriver driver;
-  CompileOutput out = driver.compile(
-      uniqueSource("sleeper",
-                   "#include <unistd.h>\n"
-                   "int main() { ::sleep(60); return 0; }\n"),
-      "sleeper", "-O0");
   auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW(driver.run(out.exePath, {}, 0.3), SimTimeoutError);
+  EXPECT_THROW(driver.run("/bin/sh", {"-c", "sleep 60"}, 0.3),
+               SimTimeoutError);
   double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -456,12 +454,11 @@ TEST_F(FaultTest, RunWatchdogKillsHungBinary) {
 // Crash-safe cache publication: a writer killed mid-copy leaves a
 // truncated *.tmp behind. It must never be served as a cache entry, and
 // the next compile of the same source must succeed and publish a valid,
-// runnable binary alongside the debris.
+// loadable library alongside the debris.
 TEST_F(FaultTest, TruncatedCacheTempIsNeverServed) {
   fs::create_directories(cacheDir_);
   std::string src = uniqueSource("cache-tmp", kHelloBody);
-  uint64_t key = CompilerDriver::cacheKey(src, "-O0",
-                                          ArtifactKind::Executable, "");
+  uint64_t key = CompilerDriver::cacheKey(src, "-O0");
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(key));
@@ -475,14 +472,14 @@ TEST_F(FaultTest, TruncatedCacheTempIsNeverServed) {
   CompilerDriver driver;
   CompileOutput out = driver.compile(src, "cache_tmp", "-O0");
   EXPECT_FALSE(out.cacheHit);
-  EXPECT_EQ(driver.run(out.exePath, {}), "hello\n");
+  EXPECT_EQ(callHello(out.exePath), 42);
   EXPECT_TRUE(fs::exists(cacheDir_ / (std::string(hex) + ".bin")));
 
   // And the published entry is served (and verified) on the next compile.
   CompilerDriver driver2;
   CompileOutput again = driver2.compile(src, "cache_tmp2", "-O0");
   EXPECT_TRUE(again.cacheHit);
-  EXPECT_EQ(driver2.run(again.exePath, {}), "hello\n");
+  EXPECT_EQ(callHello(again.exePath), 42);
 }
 
 }  // namespace

@@ -1,21 +1,49 @@
-// The text result-protocol decoder's failure paths: every malformed,
-// truncated, or out-of-range line must raise a ResultParseError (a
-// ModelError) carrying the 1-based line number of the offending line —
-// never a silent partial result. A subprocess that died mid-protocol or a
-// generated program that drifted from the host must be loud and locatable.
+// The runner result-file decoder's failure paths. The process backend's
+// results cross a process boundary from a child that may have crashed or
+// been killed mid-write, so every truncated, oversized, foreign or
+// out-of-range file must raise a ResultParseError (a ModelError) — never
+// a silent partial result, never a read past a buffer.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "codegen/results_parser.h"
 #include "cov/coverage.h"
+#include "diag/diagnosis.h"
 #include "test_util.h"
 
 namespace accmos {
 namespace {
 
 using test::Tiny;
+
+// One accmos_runner result file, built field by field (layout in
+// run_abi.h): the header, then every result buffer, each section padded
+// to a multiple of 8 bytes.
+struct RunnerFile {
+  AccmosRunnerFileHeader h{};
+  std::vector<uint8_t> cov[4];
+  std::vector<AccmosDiagRec> diags;
+  std::vector<AccmosCustomRec> customs;
+  std::vector<uint64_t> outVals;
+
+  std::string bytes() const {
+    std::string out;
+    auto put = [&](const void* p, size_t n) {
+      out.append(static_cast<const char*>(p), n);
+      out.append((8 - n % 8) % 8, '\0');
+    };
+    put(&h, sizeof(h));
+    for (const auto& c : cov) put(c.data(), c.size());
+    put(diags.data(), diags.size() * sizeof(AccmosDiagRec));
+    put(customs.data(), customs.size() * sizeof(AccmosCustomRec));
+    put(outVals.data(), outVals.size() * 8);
+    return out;
+  }
+};
 
 class ResultsParserTest : public ::testing::Test {
  protected:
@@ -30,173 +58,175 @@ class ResultsParserTest : public ::testing::Test {
     fm_ = t_->flatten();
     covPlan_ = CoveragePlan::build(
         fm_, [](const FlatActor& fa) { return covTraitsFor(fa); });
+    CustomDiagnostic cd;
+    cd.actorPath = "T_G";
+    cd.name = "gain-range";
+    custom_ = {cd};
   }
 
-  SimulationResult parse(const std::string& out,
-                         const CoveragePlan* plan = nullptr) {
-    return parseResults(out, fm_, plan, nullptr, {}, {});
+  // A file the decoder accepts: geometry matching this model, optionally
+  // with coverage, and one output value of 2.5.
+  RunnerFile wellFormed(const CoveragePlan* plan = nullptr) const {
+    RunnerFile f;
+    f.h.magic = ACCMOS_RUNNER_FILE_MAGIC;
+    f.h.abiVersion = ACCMOS_ABI_VERSION;
+    f.h.rc = ACCMOS_ABI_OK;
+    AccmosModelInfo& info = f.h.info;
+    info.structSize = sizeof(AccmosModelInfo);
+    info.abiVersion = ACCMOS_ABI_VERSION;
+    for (int m = 0; m < 4; ++m) {
+      info.covLen[m] =
+          plan != nullptr ? plan->totalSlots(kAllCovMetrics[m]) : 0;
+      f.cov[m].assign(info.covLen[m], 1);
+    }
+    info.numActors = fm_.actors.size();
+    info.numDiagKinds = kNumDiagKinds;
+    info.numCustom = custom_.size();
+    info.outValsLen = 1;
+    f.diags.resize(info.numActors * info.numDiagKinds);
+    f.customs.resize(info.numCustom);
+    double v = 2.5;
+    uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    f.outVals = {bits};
+    return f;
   }
 
-  // The contract under test: the parser throws, the exception is a
-  // ModelError, and its message pinpoints the offending protocol line.
-  void expectFailAt(const std::string& out, size_t line,
-                    const std::string& substr,
-                    const CoveragePlan* plan = nullptr) {
+  SimulationResult decode(const std::string& bytes,
+                          const CoveragePlan* plan = nullptr) const {
+    return decodeRunnerFile(bytes, fm_, plan, {}, custom_);
+  }
+
+  // The contract under test: the decoder throws, the exception is a
+  // ResultParseError, and its message names the problem.
+  void expectFail(const std::string& bytes, const std::string& substr,
+                  const CoveragePlan* plan = nullptr) const {
     try {
-      parse(out, plan);
-      FAIL() << "expected ResultParseError for:\n" << out;
-    } catch (const ModelError& e) {
-      std::string msg = e.what();
-      std::string marker = "result protocol line " + std::to_string(line) +
-                           ":";
-      EXPECT_NE(msg.find(marker), std::string::npos)
-          << "expected '" << marker << "' in: " << msg;
-      EXPECT_NE(msg.find(substr), std::string::npos)
-          << "expected '" << substr << "' in: " << msg;
+      decode(bytes, plan);
+      ADD_FAILURE() << "expected ResultParseError (" << substr << ")";
+    } catch (const ResultParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(substr), std::string::npos)
+          << "expected '" << substr << "' in: " << e.what();
     }
   }
 
   std::unique_ptr<Tiny> t_;
   FlatModel fm_;
   CoveragePlan covPlan_;
+  std::vector<CustomDiagnostic> custom_;
 };
 
-TEST_F(ResultsParserTest, ParsesAWellFormedBlock) {
-  SimulationResult r = parse(
-      "ACCMOS_RESULT_BEGIN\n"
-      "STEPS 50\n"
-      "STOPPED_EARLY 1\n"
-      "EXEC_NS 2000\n"
-      "OUT 0 1 2.5\n"
-      "ACCMOS_RESULT_END\n");
+TEST_F(ResultsParserTest, DecodesAWellFormedFile) {
+  RunnerFile f = wellFormed(&covPlan_);
+  f.h.stepsExecuted = 50;
+  f.h.stoppedEarly = 1;
+  f.h.execNs = 2000;
+  const int g = fm_.findByPath("T_G")->id;
+  f.diags[0] = {g, static_cast<int32_t>(DiagKind::NanInf), 7, 3};
+  f.h.diagCount = 1;
+  f.customs[0] = {0, 9, 1};
+  f.h.customCount = 1;
+
+  SimulationResult r = decode(f.bytes(), &covPlan_);
   EXPECT_EQ(r.stepsExecuted, 50u);
   EXPECT_TRUE(r.stoppedEarly);
   EXPECT_DOUBLE_EQ(r.execSeconds, 2e-6);
   ASSERT_EQ(r.finalOutputs.size(), 1u);
   EXPECT_DOUBLE_EQ(r.finalOutputs[0].f(0), 2.5);
+  EXPECT_TRUE(r.hasCoverage);
+  ASSERT_EQ(r.diagnostics.size(), 2u);
+  EXPECT_EQ(r.diagnostics[0].kind, DiagKind::NanInf);
+  EXPECT_EQ(r.diagnostics[0].firstStep, 7u);
+  EXPECT_EQ(r.diagnostics[1].kind, DiagKind::Custom);
+  EXPECT_EQ(r.diagnostics[1].message, "gain-range");
 }
 
-TEST_F(ResultsParserTest, TextBeforeBeginIsIgnored) {
-  // Programs may print diagnostics before the result block; only the block
-  // itself is protocol.
-  SimulationResult r = parse(
-      "OUT garbage that would fail inside the block\n"
-      "ACCMOS_RESULT_BEGIN\n"
-      "STEPS 7\n"
-      "ACCMOS_RESULT_END\n");
-  EXPECT_EQ(r.stepsExecuted, 7u);
+TEST_F(ResultsParserTest, TimedOutRunDecodes) {
+  // ETIMEOUT is a retired run, not a failed one: its fields are valid.
+  RunnerFile f = wellFormed();
+  f.h.rc = ACCMOS_ABI_ETIMEOUT;
+  f.h.timedOut = 1;
+  EXPECT_TRUE(decode(f.bytes()).timedOut);
 }
 
-TEST_F(ResultsParserTest, MissingBeginIsTruncation) {
-  expectFailAt("STEPS 50\n", 1, "ACCMOS_RESULT_BEGIN");
+TEST_F(ResultsParserTest, TruncatedFileFails) {
+  // A runner killed mid-write: short header, or a short buffer section.
+  const std::string full = wellFormed().bytes();
+  expectFail("", "truncated");
+  expectFail(full.substr(0, sizeof(AccmosRunnerFileHeader) - 1),
+             "truncated");
+  expectFail(full.substr(0, full.size() - 8), "truncated");
 }
 
-TEST_F(ResultsParserTest, MissingEndIsTruncation) {
-  // A subprocess killed mid-protocol: block opened, never closed.
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "STEPS 50\n",
-      2, "ACCMOS_RESULT_END");
+TEST_F(ResultsParserTest, TrailingBytesFail) {
+  expectFail(wellFormed().bytes() + std::string(8, '\0'), "trailing bytes");
 }
 
-TEST_F(ResultsParserTest, MalformedScalarFieldsCarryTheirLine) {
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "STEPS many\n"
-      "ACCMOS_RESULT_END\n",
-      2, "malformed STEPS");
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "STEPS 50\n"
-      "STOPPED_EARLY\n"
-      "ACCMOS_RESULT_END\n",
-      3, "malformed STOPPED_EARLY");
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "EXEC_NS\n"
-      "ACCMOS_RESULT_END\n",
-      2, "malformed EXEC_NS");
+TEST_F(ResultsParserTest, BadMagicOrVersionFails) {
+  RunnerFile f = wellFormed();
+  f.h.magic = 0x7f454c46;  // some other file entirely
+  expectFail(f.bytes(), "bad magic");
+  f = wellFormed();
+  f.h.abiVersion = ACCMOS_ABI_VERSION + 1;
+  expectFail(f.bytes(), "ABI version");
+  f = wellFormed();
+  f.h.info.abiVersion = ACCMOS_ABI_VERSION - 1;
+  expectFail(f.bytes(), "ABI version");
 }
 
-TEST_F(ResultsParserTest, TruncatedValueVectorFails) {
-  // OUT announces width 1 but the line ends before the element.
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "OUT 0 1\n"
-      "ACCMOS_RESULT_END\n",
-      2, "truncated value vector");
+TEST_F(ResultsParserTest, FailedRunStatusFails) {
+  RunnerFile f = wellFormed();
+  f.h.rc = ACCMOS_ABI_EBUFFER;
+  expectFail(f.bytes(), "ABI status 3");
 }
 
-TEST_F(ResultsParserTest, UnknownTagFails) {
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "BOGUS 1 2 3\n"
-      "ACCMOS_RESULT_END\n",
-      2, "unknown result tag 'BOGUS'");
+TEST_F(ResultsParserTest, CountsBeyondCapacityFail) {
+  RunnerFile f = wellFormed();
+  f.h.diagCount = f.diags.size() + 1;
+  expectFail(f.bytes(), "diagnostic count");
+  f = wellFormed();
+  f.h.customCount = 2;
+  expectFail(f.bytes(), "custom diagnostic count");
 }
 
 TEST_F(ResultsParserTest, DiagnosticRangeChecksFail) {
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "DIAG 57 0 1 1\n"
-      "ACCMOS_RESULT_END\n",
-      2, "bad actor id 57");
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "DIAG 0 42 1 1\n"
-      "ACCMOS_RESULT_END\n",
-      2, "bad kind 42");
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "DIAG 0 0\n"
-      "ACCMOS_RESULT_END\n",
-      2, "malformed DIAG");
+  RunnerFile f = wellFormed();
+  f.diags[0] = {57, 0, 1, 1};
+  f.h.diagCount = 1;
+  expectFail(f.bytes(), "bad actor id 57");
+  f.diags[0] = {0, kNumDiagKinds, 1, 1};
+  expectFail(f.bytes(), "bad kind");
+  f.diags[0] = {0, -1, 1, 1};
+  expectFail(f.bytes(), "bad kind -1");
 }
 
-TEST_F(ResultsParserTest, IndexAndWidthChecksFail) {
-  // This model has one outport; index 5 is out of range.
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "OUT 5 1 2.5\n"
-      "ACCMOS_RESULT_END\n",
-      2, "output index 5 out of range");
-  // Width must match the signal (scalar here).
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "OUT 0 3 1 2 3\n"
-      "ACCMOS_RESULT_END\n",
-      2, "output width mismatch");
-  // No signals are monitored, so any COLLECT index is out of range.
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "COLLECT 0 10 1 2.5\n"
-      "ACCMOS_RESULT_END\n",
-      2, "collect index 0 out of range");
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "CUSTOM 0 1 1\n"
-      "ACCMOS_RESULT_END\n",
-      2, "custom diagnostic index 0 out of range");
+TEST_F(ResultsParserTest, CustomIndexOutOfRangeFails) {
+  RunnerFile f = wellFormed();
+  f.customs[0] = {5, 1, 1};
+  f.h.customCount = 1;
+  expectFail(f.bytes(), "custom diagnostic index 5 out of range");
 }
 
-TEST_F(ResultsParserTest, CoverageBitmapSizeMismatchFails) {
-  // With a real plan, a bitmap of the wrong length is a protocol drift
-  // (host and generated program disagree about instrumentation geometry).
-  std::string name(covMetricName(CovMetric::Actor));
-  std::string bits(
-      static_cast<size_t>(covPlan_.totalSlots(CovMetric::Actor)) + 1, '1');
-  expectFailAt(
-      "ACCMOS_RESULT_BEGIN\n"
-      "COVMAP " + name + " " + bits + "\n"
-      "ACCMOS_RESULT_END\n",
-      2, "coverage bitmap size mismatch", &covPlan_);
+TEST_F(ResultsParserTest, GeometryMismatchFails) {
+  // Coverage bitmap of the wrong length: host and library disagree about
+  // the instrumentation, so no buffer of this file can be trusted.
+  RunnerFile f = wellFormed(&covPlan_);
+  f.h.info.covLen[0] += 1;
+  f.cov[0].push_back(1);
+  expectFail(f.bytes(), "coverage bitmap length", &covPlan_);
+  // A covered file decoded by an uninstrumented host.
+  expectFail(wellFormed(&covPlan_).bytes(), "coverage bitmap length");
+  f = wellFormed();
+  f.h.info.numActors += 1;
+  expectFail(f.bytes(), "actor count");
+  EXPECT_EQ(geometryMismatch(wellFormed().h.info, fm_, nullptr, {}, 1), "");
 }
 
 TEST_F(ResultsParserTest, ErrorsAreCatchableAsModelError) {
-  // Pipeline-level handlers catch ModelError; the parse errors must flow
+  // Pipeline-level handlers catch ModelError; decode errors must flow
   // through that path, not bypass it.
-  EXPECT_THROW(parse(""), ModelError);
-  EXPECT_THROW(parse(""), ResultParseError);
+  EXPECT_THROW(decode(""), ModelError);
+  EXPECT_THROW(decode(""), ResultParseError);
 }
 
 }  // namespace

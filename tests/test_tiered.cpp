@@ -157,7 +157,7 @@ void expectSameCampaign(const CampaignResult& a, const CampaignResult& b,
 TEST_F(TieredTest, SingleFlightJoinsConcurrentAsyncCompiles) {
   EnvGuard fault("ACCMOS_FAULT", "slow-compile:400");
   const std::string src =
-      "#include <cstdio>\nint main(){ std::puts(\"sf\"); return 0; }\n";
+      "#include <cstdio>\nint sf(){ return std::puts(\"sf\"); }\n";
   const uint64_t before = CompilerDriver::compilerInvocations();
 
   CompilerDriver d1;
@@ -215,12 +215,12 @@ TEST_F(TieredTest, CancellationSkipsQueuedJobs) {
   std::vector<CompileHandle> blockers;
   for (int k = 0; k < pool; ++k) {
     blockers.push_back(driver.compileAsync(
-        "int main(){ return " + std::to_string(k) + "; }\n",
+        "int blocker(){ return " + std::to_string(k) + "; }\n",
         "blocker" + std::to_string(k), "-O0"));
   }
   // ...then enqueue one more and immediately withdraw the only interest.
   CompileHandle victim =
-      driver.compileAsync("int main(){ return 42; }\n", "victim", "-O0");
+      driver.compileAsync("int victim(){ return 42; }\n", "victim", "-O0");
   victim.cancel();
 
   for (auto& h : blockers) h.get();  // drain the pool
