@@ -271,7 +271,6 @@ int main() {
       SimOptions opt = bench::engineOptions(Engine::AccMoS, overheadSteps);
       opt.execMode = modes[m];
       opt.campaign.workers = 1;
-      opt.batchLanes = 0;  // scalar on both sides; batching measured below
       // First campaign warms the compile cache (and pays the one-off
       // compile); the measured campaign then isolates per-run cost.
       runCampaign(smallSim.flatModel(), opt, TestCaseSpec{}, manySeeds);
@@ -301,136 +300,6 @@ int main() {
         .str("engine", "accmos")
         .str("phase", "per_run_overhead")
         .num("dlopen_per_run_speedup", speedup);
-
-    // Batch lane width, two regimes. What accmos_run_batch amortizes is
-    // the per-run launch cost — one ABI call, one state-block allocation
-    // and one set of host result buffers per CHUNK instead of per run —
-    // so the gain is largest where runs are short and numerous, and it is
-    // diluted by any per-run cost batching cannot share (the campaign
-    // layer's per-seed bitmap decode, reports and merges, which the
-    // bit-identity contract requires for every lane). Both regimes are
-    // measured below; every width stays bit-identical to scalar
-    // (test_exec_modes / test_fuzz_batch_differential). Configs are
-    // interleaved across rounds and the best round is kept, so frequency
-    // drift cannot favor whichever config happens to run first.
-    const size_t laneSet[] = {0, 4, 8, 16};
-    const size_t numLaneCfgs = sizeof(laneSet) / sizeof(laneSet[0]);
-
-    // Regime 1: raw per-run throughput through AccMoSEngine::runBatch —
-    // many seeds, few steps, instrumentation off. This isolates the
-    // launch path itself; it is where the >= 1.5x batched speedup lives.
-    const size_t batchSeedCount = static_cast<size_t>(
-        bench::envSteps("ACCMOS_BENCH_BATCH_SEEDS", 16384));
-    const uint64_t batchSteps =
-        bench::envSteps("ACCMOS_BENCH_BATCH_STEPS", 5);
-    std::vector<uint64_t> batchSeeds;
-    for (size_t k = 0; k < batchSeedCount; ++k) {
-      batchSeeds.push_back(9000 + 7 * k);
-    }
-    std::printf("\nBatch lane width, launch-overhead regime: "
-                "%zu seeds x %llu steps, engine runBatch, "
-                "instrumentation off, best of 5\n",
-                batchSeedCount,
-                static_cast<unsigned long long>(batchSteps));
-    bench::hr(96);
-    {
-      std::vector<std::unique_ptr<AccMoSEngine>> engines;
-      for (size_t c = 0; c < numLaneCfgs; ++c) {
-        SimOptions opt = bench::engineOptions(Engine::AccMoS, batchSteps);
-        opt.coverage = false;
-        opt.diagnosis = false;
-        opt.execMode = ExecMode::Dlopen;
-        opt.batchLanes = laneSet[c];
-        engines.push_back(std::make_unique<AccMoSEngine>(
-            smallSim.flatModel(), opt, TestCaseSpec{}));
-        engines.back()->runBatch(batchSeeds, batchSteps);  // warm-up
-      }
-      double best[numLaneCfgs];
-      for (size_t c = 0; c < numLaneCfgs; ++c) best[c] = 0.0;
-      for (int round = 0; round < 5; ++round) {
-        for (size_t c = 0; c < numLaneCfgs; ++c) {
-          auto t0 = std::chrono::steady_clock::now();
-          engines[c]->runBatch(batchSeeds, batchSteps);
-          auto t1 = std::chrono::steady_clock::now();
-          double w = std::chrono::duration<double>(t1 - t0).count();
-          if (best[c] == 0.0 || w < best[c]) best[c] = w;
-        }
-      }
-      for (size_t c = 0; c < numLaneCfgs; ++c) {
-        std::string label = laneSet[c] == 0 ? "scalar" : "batch x";
-        if (laneSet[c] != 0) label += std::to_string(laneSet[c]);
-        std::printf("%-15s %9.4fs wall  %10.1f runs/s  %6.2fx\n",
-                    label.c_str(), best[c], batchSeedCount / best[c],
-                    best[0] / best[c]);
-        json.row()
-            .str("engine", "accmos")
-            .str("phase", "batch_lane_width")
-            .str("model", "PerRun")
-            .str("exec_mode", laneSet[c] == 0 ? "dlopen" : "dlopen-batch")
-            .count("batch_lanes", laneSet[c])
-            .count("seeds", batchSeedCount)
-            .count("steps", batchSteps)
-            .num("wall_s", best[c])
-            .num("per_run_ms", 1e3 * best[c] / batchSeedCount)
-            .num("runs_per_s", batchSeedCount / best[c])
-            .num("speedup_vs_scalar", best[0] / best[c]);
-      }
-    }
-    bench::hr(96);
-
-    // Regime 2: the same widths through a full instrumented campaign.
-    // Coverage decode + per-seed reports + the seed-order merge are paid
-    // per run on the host regardless of lane width, so the end-to-end
-    // campaign gain is structurally smaller than regime 1's.
-    const size_t campSeedCount = static_cast<size_t>(
-        bench::envSteps("ACCMOS_BENCH_BATCH_CAMPAIGN_SEEDS", 8192));
-    const uint64_t campSteps = 20;
-    std::vector<uint64_t> campSeeds;
-    for (size_t k = 0; k < campSeedCount; ++k) {
-      campSeeds.push_back(9000 + 7 * k);
-    }
-    std::printf("\nBatch lane width, campaign regime: %zu seeds x %llu "
-                "steps, coverage on, 1 worker, best of 3\n",
-                campSeedCount, static_cast<unsigned long long>(campSteps));
-    bench::hr(96);
-    {
-      double best[numLaneCfgs];
-      for (size_t c = 0; c < numLaneCfgs; ++c) best[c] = 0.0;
-      for (int round = 0; round < 3; ++round) {
-        for (size_t c = 0; c < numLaneCfgs; ++c) {
-          SimOptions opt = bench::engineOptions(Engine::AccMoS, campSteps);
-          opt.execMode = ExecMode::Dlopen;
-          opt.campaign.workers = 1;
-          opt.batchLanes = laneSet[c];
-          CampaignResult cr =
-              runCampaign(smallSim.flatModel(), opt, TestCaseSpec{},
-                          campSeeds);
-          if (best[c] == 0.0 || cr.wallSeconds < best[c]) {
-            best[c] = cr.wallSeconds;
-          }
-        }
-      }
-      for (size_t c = 0; c < numLaneCfgs; ++c) {
-        std::string label = laneSet[c] == 0 ? "scalar" : "batch x";
-        if (laneSet[c] != 0) label += std::to_string(laneSet[c]);
-        std::printf("%-15s %9.4fs wall  %10.1f runs/s  %6.2fx\n",
-                    label.c_str(), best[c], campSeedCount / best[c],
-                    best[0] / best[c]);
-        json.row()
-            .str("engine", "accmos")
-            .str("phase", "batch_campaign")
-            .str("model", "PerRun")
-            .str("exec_mode", laneSet[c] == 0 ? "dlopen" : "dlopen-batch")
-            .count("batch_lanes", laneSet[c])
-            .count("seeds", campSeedCount)
-            .count("steps", campSteps)
-            .num("wall_s", best[c])
-            .num("per_run_ms", 1e3 * best[c] / campSeedCount)
-            .num("runs_per_s", campSeedCount / best[c])
-            .num("speedup_vs_scalar", best[0] / best[c]);
-      }
-    }
-    bench::hr(96);
   }
 
   // Cold vs. warm engine construction on a model not compiled above, in a

@@ -3,7 +3,8 @@
 // result recovery.
 //
 // The generated code is compiled once, -shared -fPIC, into one library
-// that both execution backends run (SimOptions::execMode,
+// with one scalar kernel (accmos_run); a campaign calls it once per seed.
+// Both execution backends run that library (SimOptions::execMode,
 // docs/EXECUTION.md):
 //   Dlopen  — the library is loaded once with dlopen, and every run() is
 //             an in-process accmos_run() call filling caller-owned binary
@@ -64,11 +65,8 @@ class AccMoSEngine {
   static GeneratedModel generate(const FlatModel& fm, const SimOptions& opt,
                                  const TestCaseSpec& tests);
 
-  // The artifact the constructor will ask the compiler for under `opt` —
-  // always a shared library, plus extra flags (the batch-lane define). Exposed so an async
-  // pre-compile (TieredEngine) addresses the exact cache entry the engine
-  // construction will then hit; any drift here would make the hand-over a
-  // silent recompile.
+  // Always a shared library with no extra flags; the benchmark probe
+  // (e2ebench/probe.cpp) is the only caller.
   static ArtifactKind artifactPlan(const SimOptions& opt,
                                    std::string* extraFlags);
 
@@ -87,17 +85,7 @@ class AccMoSEngine {
                        double timeBudgetOverride = -1.0,
                        std::optional<uint64_t> seedOverride = std::nullopt);
 
-  // Executes one simulation per seed, fusing them through the library's
-  // accmos_run_batch kernel in chunks of up to batchLanes() lanes.
-  // Results are returned in seed order and are bit-identical to calling
-  // run() once per seed — the batch kernel is a throughput optimization,
-  // never an observable one (the differential suites enforce this).
-  // Falls back to per-seed scalar run() — and therefore reports "dlopen"
-  // or "process" in SimulationResult::execMode instead of "dlopen-batch" —
-  // when the engine has no loaded library, the library has no batch
-  // capability (missing symbol, compiled batchless), batching is disabled
-  // (SimOptions::batchLanes == 0), or the ACCMOS_FAULT=batch-fail test
-  // hook is set. Thread-safe like run().
+  // run() once per seed, in order; the benchmark probe is the only caller.
   std::vector<SimulationResult> runBatch(
       const std::vector<uint64_t>& seeds, uint64_t maxStepsOverride = 0,
       double timeBudgetOverride = -1.0);
@@ -119,16 +107,6 @@ class AccMoSEngine {
       uint64_t maxStepsOverride = 0, double timeBudgetOverride = -1.0,
       std::optional<uint64_t> seedOverride = std::nullopt);
 
-  // Fault-contained runBatch(): same ladder per seed. A crash inside the
-  // fused kernel takes the whole chunk down (lanes share one state struct
-  // instance lifetime), so the chunk degrades to per-seed runContained();
-  // a lane retired by the shared batch deadline gets one solo scalar retry
-  // with a fresh deadline — a seed that can finish within the deadline on
-  // its own therefore produces bit-identical results for any lane count.
-  std::vector<SimulationResult> runBatchContained(
-      const std::vector<uint64_t>& seeds, uint64_t maxStepsOverride = 0,
-      double timeBudgetOverride = -1.0);
-
   // Quarantine: after two strikes (in-process crash or hang) the engine
   // stops using the dlopen library for the rest of its lifetime and routes
   // every run through the subprocess backend, where the OS cleans up
@@ -136,10 +114,7 @@ class AccMoSEngine {
   int strikes() const { return strikes_.load(std::memory_order_relaxed); }
   bool quarantined() const { return strikes() >= 2; }
 
-  // Lanes a runBatch() call will actually fuse per kernel invocation:
-  // the loaded library's capability, or 0 when runBatch() would take the
-  // scalar fallback (evaluated per call — the batch-fail fault hook is
-  // read here, not at construction).
+  // Always 0; the benchmark probe is the only caller.
   uint64_t batchLanes() const;
 
   const std::string& generatedSource() const { return source_; }
@@ -162,13 +137,6 @@ class AccMoSEngine {
   SimulationResult runInProcess(uint64_t steps, double budget, uint64_t seed);
   SimulationResult runSubprocess(uint64_t steps, double budget,
                                  uint64_t seed);
-  // One fused kernel call over n <= batchLanes() consecutive seeds,
-  // appending n finished results to `out`. `contained` selects which
-  // scalar path (run / runContained) absorbs kernel crashes and
-  // deadline-retired lanes.
-  void runBatchChunk(const uint64_t* seeds, size_t n, uint64_t steps,
-                     double budget, bool contained,
-                     std::vector<SimulationResult>& out);
   // Common result tail: coverage report + generate/compile/load timings.
   void finishResult(SimulationResult& r) const;
 

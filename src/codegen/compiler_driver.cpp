@@ -155,8 +155,11 @@ bool storeEntry(uint64_t key, const fs::path& exePath) {
     CacheEntry e = cachePaths(key);
     fs::create_directories(e.bin.parent_path());
     sweepStaleTemps(e.bin.parent_path());
-    std::string tag = "." + std::to_string(::getpid()) + "." +
-                      std::to_string(g_tmpCounter.fetch_add(1)) + ".tmp";
+    std::string tag = ".";  // appended, not "." + ...: GCC 12 -Wrestrict
+    tag += std::to_string(::getpid());
+    tag += '.';
+    tag += std::to_string(g_tmpCounter.fetch_add(1));
+    tag += ".tmp";
     fs::path binTmp = e.bin.string() + tag;
     fs::path metaTmp = e.meta.string() + tag;
     fs::copy_file(exePath, binTmp, fs::copy_options::overwrite_existing);
@@ -253,7 +256,6 @@ struct CompileParams {
   std::string source;
   std::string name;
   std::string optFlag;
-  std::string extraFlags;
   double timeoutSec = 0.0;
   bool publish = false;  // cache usable: publish + single-flight by key
   uint64_t key = 0;
@@ -343,7 +345,6 @@ CompileOutput compileNow(const CompileParams& p, const std::string& dirStr) {
   std::ostringstream cmd;
   cmd << CompilerDriver::compilerPath() << " -std=c++17 " << p.optFlag
       << " " << kSharedLibFlags;
-  if (!p.extraFlags.empty()) cmd << " " << p.extraFlags;
   cmd << " -o " << shellQuote(exe.string()) << " " << shellQuote(src.string());
 
   // The watchdog + rlimits containing ONE compiler invocation. The CPU
@@ -695,15 +696,11 @@ double CompilerDriver::defaultCompileTimeout() {
 uint64_t CompilerDriver::cacheKey(const std::string& source,
                                   const std::string& optFlag,
                                   ArtifactKind /*kind*/,
-                                  const std::string& extraFlags) {
+                                  const std::string& /*extraFlags*/) {
   uint64_t h = fnv1a64(compilerPath());
   h = fnv1a64(std::string(" -std=c++17 "), h);
   h = fnv1a64(optFlag, h);
   h = fnv1a64(std::string(kSharedLibFlags), h);
-  if (!extraFlags.empty()) {
-    h = fnv1a64(std::string("\x1f"), h);  // separator: flag fields
-    h = fnv1a64(extraFlags, h);
-  }
   h = fnv1a64(std::string("\x1f"), h);  // separator: flags vs source
   return fnv1a64(source, h);
 }
@@ -725,13 +722,11 @@ int CompilerDriver::compilePoolSize() {
 CompileOutput CompilerDriver::compile(const std::string& source,
                                       const std::string& name,
                                       const std::string& optFlag,
-                                      ArtifactKind /*kind*/,
-                                      const std::string& extraFlags) {
+                                      ArtifactKind /*kind*/) {
   CompileParams p;
   p.source = source;
   p.name = name;
   p.optFlag = optFlag;
-  p.extraFlags = extraFlags;
   p.timeoutSec = compileTimeoutSec_;
   p.publish = cacheEnabled_ && !cacheDisabledByEnv();
 
@@ -751,7 +746,7 @@ CompileOutput CompilerDriver::compile(const std::string& source,
     return out;
   }
 
-  p.key = cacheKey(source, optFlag, ArtifactKind::SharedLib, extraFlags);
+  p.key = cacheKey(source, optFlag);
   if (auto hit = tryCacheHit(p.key)) {
     hit->sourcePath = src.string();
     return *hit;
@@ -791,18 +786,16 @@ CompileOutput CompilerDriver::compile(const std::string& source,
 CompileHandle CompilerDriver::compileAsync(const std::string& source,
                                            const std::string& name,
                                            const std::string& optFlag,
-                                           ArtifactKind /*kind*/,
-                                           const std::string& extraFlags) {
+                                           ArtifactKind /*kind*/) {
   CompileParams p;
   p.source = source;
   p.name = name;
   p.optFlag = optFlag;
-  p.extraFlags = extraFlags;
   p.timeoutSec = compileTimeoutSec_;
   p.publish = cacheEnabled_ && !cacheDisabledByEnv();
 
   if (p.publish) {
-    p.key = cacheKey(source, optFlag, ArtifactKind::SharedLib, extraFlags);
+    p.key = cacheKey(source, optFlag);
     if (auto hit = tryCacheHit(p.key)) {
       // Warm model: the handle is ready before the caller's first poll.
       return CompileHandle(makeReadyJob(std::move(*hit)));

@@ -116,13 +116,9 @@ class CompilerDriver {
   // Writes `source` to <dir>/<name>.cpp and compiles it — or, when the
   // cache holds a verified binary for the same (compiler, flags, source),
   // returns that binary with cacheHit set and near-zero seconds.
-  // `extraFlags` are appended verbatim to the compile command (e.g.
-  // "-DACCMOS_BATCH_LANES=8" for a batch-capable library) and are part of
-  // the cache identity — same source, different defines, distinct entries.
   CompileOutput compile(const std::string& source, const std::string& name,
                         const std::string& optFlag,
-                        ArtifactKind kind = ArtifactKind::SharedLib,
-                        const std::string& extraFlags = "");
+                        ArtifactKind kind = ArtifactKind::SharedLib);
 
   // Starts the same compilation on the background compile pool and returns
   // immediately. A verified cache entry yields an already-ready handle (no
@@ -143,8 +139,7 @@ class CompilerDriver {
   CompileHandle compileAsync(const std::string& source,
                              const std::string& name,
                              const std::string& optFlag,
-                             ArtifactKind kind = ArtifactKind::SharedLib,
-                             const std::string& extraFlags = "");
+                             ArtifactKind kind = ArtifactKind::SharedLib);
 
   // Runs the program with the given argv, returning captured output
   // (stdout+stderr). timeoutSec > 0 arms the host-side watchdog: on
@@ -172,11 +167,10 @@ class CompilerDriver {
   static std::string compilerPath();
   // Resolved cache directory: $ACCMOS_CACHE_DIR, else <tmp>/accmos-cache.
   static std::string cacheDir();
-  // Content-address of a compilation: stable across processes. Extra flags
-  // are part of the address: a source compiled with -DACCMOS_BATCH_LANES=N
-  // produces a different binary than the flagless compile of the identical
-  // source, and a batch-requesting engine must never be served a cached
-  // batchless artifact.
+  // Content-address of a compilation: stable across processes. Every
+  // model builds the one scalar library, so `kind` and `extraFlags` are
+  // ignored, kept only because the benchmark probe (e2ebench/probe.cpp)
+  // passes them.
   static uint64_t cacheKey(const std::string& source,
                            const std::string& optFlag,
                            ArtifactKind kind = ArtifactKind::SharedLib,

@@ -27,14 +27,10 @@ std::string asDoubleExpr(DataType t, const std::string& elem) {
 }
 
 // Trigger condition of one injected step-loop fault: fires from `step`
-// onward, optionally only for one seed (seedExpr is "seed" in the scalar
-// loop, "seeds[l]" in the batch loop).
-std::string faultCond(const FaultPlan::SiteFault& f,
-                      const std::string& seedExpr) {
+// onward, optionally only for one seed.
+std::string faultCond(const FaultPlan::SiteFault& f) {
   std::string c = "step >= " + std::to_string(f.step) + "ULL";
-  if (f.hasSeed) {
-    c += " && " + seedExpr + " == " + std::to_string(f.seed) + "ULL";
-  }
+  if (f.hasSeed) c += " && seed == " + std::to_string(f.seed) + "ULL";
   return c;
 }
 
@@ -159,41 +155,45 @@ void Emitter::emitConstTables(std::ostringstream& os) {
   if (any) os << "\n";
 }
 
-std::vector<Emitter::StateMember> Emitter::stateMembers() const {
-  std::vector<StateMember> mem;
+void Emitter::emitDeclarations(std::ostringstream& os) {
+  auto member = [&os](const std::string& type, const std::string& name,
+                      const std::string& dims, const std::string& comment) {
+    os << "  " << type << " " << name << dims << ";";
+    if (!comment.empty()) os << "  // " << comment;
+    os << "\n";
+  };
+  os << "  // ---- model data --------------------------------------------\n";
   // Diagnostic aggregation tables (first/count per actor x kind).
   const std::string diagDim = "[" + std::to_string(fm_.actors.size()) +
                               " * " + std::to_string(kNumDiagKinds) + "]";
-  mem.push_back({"uint64_t", "accmos_diag_first", diagDim, ""});
-  mem.push_back({"uint64_t", "accmos_diag_count", diagDim, ""});
+  member("uint64_t", "accmos_diag_first", diagDim, "");
+  member("uint64_t", "accmos_diag_count", diagDim, "");
   // Signals.
   for (const auto& sig : fm_.signals) {
-    mem.push_back({cpp(sig.type),
-                   "s" + std::to_string(&sig - fm_.signals.data()),
-                   "[" + std::to_string(sig.width) + "]", sig.name});
+    member(cpp(sig.type), "s" + std::to_string(&sig - fm_.signals.data()),
+           "[" + std::to_string(sig.width) + "]", sig.name);
   }
   // Actor states.
   const Registry& reg = Registry::instance();
   for (const auto& fa : fm_.actors) {
     auto st = reg.get(fa).state(fm_, fa);
     if (st) {
-      mem.push_back({cpp(st->type), "st" + std::to_string(fa.id),
-                     "[" + std::to_string(st->width) + "]",
-                     "state of " + fa.path});
+      member(cpp(st->type), "st" + std::to_string(fa.id),
+             "[" + std::to_string(st->width) + "]", "state of " + fa.path);
     }
   }
   // Data stores.
   for (size_t d = 0; d < fm_.dataStores.size(); ++d) {
     const auto& ds = fm_.dataStores[d];
-    mem.push_back({cpp(ds.type), dataStoreSymbol(static_cast<int>(d), ds.name),
-                   "[" + std::to_string(ds.width) + "]",
-                   "data store '" + ds.name + "'"});
+    member(cpp(ds.type), dataStoreSymbol(static_cast<int>(d), ds.name),
+           "[" + std::to_string(ds.width) + "]",
+           "data store '" + ds.name + "'");
   }
   // Random test-case stream states (sequence-driven ports read the shared
   // const tables instead).
   for (size_t k = 0; k < fm_.rootInports.size(); ++k) {
     if (tests_.port(static_cast<int>(k)).sequence.empty()) {
-      mem.push_back({"uint64_t", "tc_state_" + std::to_string(k), "", ""});
+      member("uint64_t", "tc_state_" + std::to_string(k), "", "");
     }
   }
   // Coverage bitmaps.
@@ -204,39 +204,28 @@ std::vector<Emitter::StateMember> Emitter::stateMembers() const {
         {"accmos_cov_dec", CovMetric::Decision},
         {"accmos_cov_mcdc", CovMetric::MCDC}};
     for (const auto& [name, metric] : maps) {
-      mem.push_back(
-          {"uint8_t", name,
-           "[" + std::to_string(std::max(1, covPlan_->totalSlots(metric))) +
-               "]",
-           ""});
+      member("uint8_t", name,
+             "[" + std::to_string(std::max(1, covPlan_->totalSlots(metric))) +
+                 "]",
+             "");
     }
   }
   // Signal monitor buffers (paper Fig. 3 outputCollect repository).
   for (size_t k = 0; k < collectSignals_.size(); ++k) {
     const SignalInfo& sig = fm_.signal(collectSignals_[k]);
-    mem.push_back({cpp(sig.type), "col" + std::to_string(k),
-                   "[" + std::to_string(sig.width) + "]", ""});
-    mem.push_back({"uint64_t", "colcnt" + std::to_string(k), "", ""});
+    member(cpp(sig.type), "col" + std::to_string(k),
+           "[" + std::to_string(sig.width) + "]", "");
+    member("uint64_t", "colcnt" + std::to_string(k), "", "");
   }
   // Custom diagnosis slots.
   for (size_t k = 0; k < opt_.customDiagnostics.size(); ++k) {
-    mem.push_back({"double", "cd_prev_" + std::to_string(k), "", ""});
-    mem.push_back({"int", "cd_has_" + std::to_string(k), "", ""});
-    mem.push_back({"uint64_t", "cd_first_" + std::to_string(k), "", ""});
-    mem.push_back({"uint64_t", "cd_count_" + std::to_string(k), "", ""});
+    member("double", "cd_prev_" + std::to_string(k), "", "");
+    member("int", "cd_has_" + std::to_string(k), "", "");
+    member("uint64_t", "cd_first_" + std::to_string(k), "", "");
+    member("uint64_t", "cd_count_" + std::to_string(k), "", "");
   }
-  mem.push_back({"int", "accmos_stop", "", ""});
-  mem.push_back({"int", "accmos_diag_fired", "", ""});
-  return mem;
-}
-
-void Emitter::emitDeclarations(std::ostringstream& os) {
-  os << "  // ---- model data --------------------------------------------\n";
-  for (const auto& mem : stateMembers()) {
-    os << "  " << mem.type << " " << mem.name << mem.dims << ";";
-    if (!mem.comment.empty()) os << "  // " << mem.comment;
-    os << "\n";
-  }
+  member("int", "accmos_stop", "", "");
+  member("int", "accmos_diag_fired", "", "");
   os << "\n";
 }
 
@@ -267,11 +256,10 @@ void Emitter::emitFillInputs(std::ostringstream& os) {
       os << "    double v = tc_seq_" << k << "[step % "
          << stim.sequence.size() << "ULL];\n";
     }
-    os << "    " << storeFromDouble(sig.type,
-                                    "s" + std::to_string(fa.outputs[0]) +
-                                        "[i]",
-                                    "v")
-       << "\n";
+    std::string dst = "s";  // appended, not "s" + ...: GCC 12 -Wrestrict
+    dst += std::to_string(fa.outputs[0]);
+    dst += "[i]";
+    os << "    " << storeFromDouble(sig.type, dst, "v") << "\n";
     os << "  }\n";
   }
   os << "}\n\n";
@@ -393,7 +381,7 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
     os << "      // ACCMOS_FAULT hang: cooperative wedge — spins until the\n"
        << "      // deadline passes (or forever when none was set, which is\n"
        << "      // what the host watchdog exists for).\n"
-       << "      if (" << faultCond(faults_.hang, "seed") << ") {\n"
+       << "      if (" << faultCond(faults_.hang) << ") {\n"
        << "        while (!(deadline > 0.0 && accmos_now_s() >= deadline))\n"
        << "          accmos_pause_ms(1);\n"
        << "        *timedOut = 1; break;\n"
@@ -401,7 +389,7 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
   }
   if (faults_.crash.armed) {
     os << "      // ACCMOS_FAULT crash: a genuine fatal signal.\n"
-       << "      if (" << faultCond(faults_.crash, "seed")
+       << "      if (" << faultCond(faults_.crash)
        << ") raise(SIGSEGV);\n";
   }
   os << "      accmos_fill_inputs(step);\n"
@@ -454,93 +442,85 @@ Emitter::AbiGeom Emitter::abiGeom() const {
   return g;
 }
 
-void Emitter::emitResultChecks(std::ostringstream& os, const std::string& ref,
-                               const std::string& ind) {
+void Emitter::emitResultChecks(std::ostringstream& os) {
   const AbiGeom g = abiGeom();
   for (int m = 0; m < 4; ++m) {
-    os << ind << "if (" << ref << "covLen[" << m << "] != " << g.covLen[m]
-       << "ULL";
-    if (g.covLen[m] > 0) os << " || " << ref << "cov[" << m << "] == 0";
+    os << "  if (res->covLen[" << m << "] != " << g.covLen[m] << "ULL";
+    if (g.covLen[m] > 0) os << " || res->cov[" << m << "] == 0";
     os << ") return ACCMOS_ABI_EBUFFER;\n";
   }
   if (diagPlan_ != nullptr) {
-    os << ind << "if (" << ref << "diagCap < " << g.numActors * kNumDiagKinds
-       << "ULL || " << ref << "diags == 0) return ACCMOS_ABI_EBUFFER;\n";
+    os << "  if (res->diagCap < " << g.numActors * kNumDiagKinds
+       << "ULL || res->diags == 0) return ACCMOS_ABI_EBUFFER;\n";
   }
   if (g.numCustom > 0) {
-    os << ind << "if (" << ref << "customCap < " << g.numCustom << "ULL || "
-       << ref << "customs == 0) return ACCMOS_ABI_EBUFFER;\n";
+    os << "  if (res->customCap < " << g.numCustom
+       << "ULL || res->customs == 0) return ACCMOS_ABI_EBUFFER;\n";
   }
-  os << ind << "if (" << ref << "numCollect != " << collectSignals_.size()
-     << "ULL || " << ref << "collectValsLen != " << g.collectValsLen
-     << "ULL || " << ref << "outValsLen != " << g.outValsLen
+  os << "  if (res->numCollect != " << collectSignals_.size()
+     << "ULL || res->collectValsLen != " << g.collectValsLen
+     << "ULL || res->outValsLen != " << g.outValsLen
      << "ULL) return ACCMOS_ABI_EBUFFER;\n";
   if (!collectSignals_.empty()) {
-    os << ind << "if (" << ref << "collectCounts == 0 || " << ref
-       << "collectVals == 0) return ACCMOS_ABI_EBUFFER;\n";
+    os << "  if (res->collectCounts == 0 || res->collectVals == 0) "
+          "return ACCMOS_ABI_EBUFFER;\n";
   }
   if (g.outValsLen > 0) {
-    os << ind << "if (" << ref << "outVals == 0) return ACCMOS_ABI_EBUFFER;\n";
+    os << "  if (res->outVals == 0) return ACCMOS_ABI_EBUFFER;\n";
   }
 }
 
-void Emitter::emitResultExtract(
-    std::ostringstream& os, const std::string& ref,
-    const std::function<std::string(const std::string&)>& acc,
-    const std::string& ind) {
+void Emitter::emitResultExtract(std::ostringstream& os) {
   const AbiGeom g = abiGeom();
   for (int m = 0; m < 4; ++m) {
     if (g.covLen[m] > 0) {
-      os << ind << "memcpy(" << ref << "cov[" << m << "], " << acc(g.covArr[m])
-         << ", " << g.covLen[m] << ");\n";
+      os << "  memcpy(res->cov[" << m << "], M->" << g.covArr[m] << ", "
+         << g.covLen[m] << ");\n";
     }
   }
   if (diagPlan_ != nullptr) {
-    os << ind << "{ uint64_t nd = 0;\n"
-       << ind << "  for (int a = 0; a < " << g.numActors << "; ++a)\n"
-       << ind << "    for (int k = 0; k < " << kNumDiagKinds << "; ++k) {\n"
-       << ind << "      uint64_t c = " << acc("accmos_diag_count") << "[a * "
+    os << "  { uint64_t nd = 0;\n"
+       << "    for (int a = 0; a < " << g.numActors << "; ++a)\n"
+       << "      for (int k = 0; k < " << kNumDiagKinds << "; ++k) {\n"
+       << "        uint64_t c = M->accmos_diag_count[a * " << kNumDiagKinds
+       << " + k];\n"
+       << "        if (c) { res->diags[nd].actorId = a; "
+          "res->diags[nd].kind = k;\n"
+       << "          res->diags[nd].firstStep = M->accmos_diag_first[a * "
        << kNumDiagKinds << " + k];\n"
-       << ind << "      if (c) { " << ref << "diags[nd].actorId = a; " << ref
-       << "diags[nd].kind = k;\n"
-       << ind << "        " << ref << "diags[nd].firstStep = "
-       << acc("accmos_diag_first") << "[a * " << kNumDiagKinds << " + k];\n"
-       << ind << "        " << ref << "diags[nd].count = c; ++nd; }\n"
-       << ind << "    }\n"
-       << ind << "  " << ref << "diagCount = nd; }\n";
+       << "          res->diags[nd].count = c; ++nd; }\n"
+       << "      }\n"
+       << "    res->diagCount = nd; }\n";
   } else {
-    os << ind << ref << "diagCount = 0;\n";
+    os << "  res->diagCount = 0;\n";
   }
   if (g.numCustom > 0) {
-    os << ind << "{ uint64_t nc = 0;\n";
+    os << "  { uint64_t nc = 0;\n";
     for (size_t k = 0; k < g.numCustom; ++k) {
-      std::string cnt = acc("cd_count_" + std::to_string(k));
-      os << ind << "  if (" << cnt << ") { " << ref << "customs[nc].index = "
-         << k << "ULL; " << ref << "customs[nc].firstStep = "
-         << acc("cd_first_" + std::to_string(k)) << "; " << ref
-         << "customs[nc].count = " << cnt << "; ++nc; }\n";
+      os << "    if (M->cd_count_" << k << ") { res->customs[nc].index = " << k
+         << "ULL; res->customs[nc].firstStep = M->cd_first_" << k
+         << "; res->customs[nc].count = M->cd_count_" << k << "; ++nc; }\n";
     }
-    os << ind << "  " << ref << "customCount = nc; }\n";
+    os << "    res->customCount = nc; }\n";
   } else {
-    os << ind << ref << "customCount = 0;\n";
+    os << "  res->customCount = 0;\n";
   }
   size_t off = 0;
   for (size_t k = 0; k < collectSignals_.size(); ++k) {
     const SignalInfo& sig = fm_.signal(collectSignals_[k]);
-    os << ind << ref << "collectCounts[" << k << "] = "
-       << acc("colcnt" + std::to_string(k)) << ";\n"
-       << ind << "for (int i = 0; i < " << sig.width << "; ++i) " << ref
-       << "collectVals[" << off << " + i] = "
-       << packExpr(sig.type, acc("col" + std::to_string(k)) + "[i]") << ";\n";
+    os << "  res->collectCounts[" << k << "] = M->colcnt" << k << ";\n"
+       << "  for (int i = 0; i < " << sig.width << "; ++i) res->collectVals["
+       << off << " + i] = "
+       << packExpr(sig.type, "M->col" + std::to_string(k) + "[i]") << ";\n";
     off += static_cast<size_t>(sig.width);
   }
   off = 0;
   for (size_t k = 0; k < fm_.rootOutports.size(); ++k) {
     const FlatActor& fa = fm_.actor(fm_.rootOutports[k]);
     const SignalInfo& sig = fm_.signal(fa.inputs[0]);
-    os << ind << "for (int i = 0; i < " << sig.width << "; ++i) " << ref
-       << "outVals[" << off << " + i] = "
-       << packExpr(sig.type, acc("s" + std::to_string(fa.inputs[0])) + "[i]")
+    os << "  for (int i = 0; i < " << sig.width << "; ++i) res->outVals["
+       << off << " + i] = "
+       << packExpr(sig.type, "M->s" + std::to_string(fa.inputs[0]) + "[i]")
        << ";\n";
     off += static_cast<size_t>(sig.width);
   }
@@ -563,11 +543,6 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "  info->numCollect = " << collectSignals_.size() << "ULL;\n"
      << "  info->collectValsLen = " << g.collectValsLen << "ULL;\n"
      << "  info->outValsLen = " << g.outValsLen << "ULL;\n"
-     << "#ifdef ACCMOS_BATCH_LANES\n"
-     << "  info->batchLanes = (uint64_t)(ACCMOS_BATCH_LANES);\n"
-     << "#else\n"
-     << "  info->batchLanes = 0ULL;\n"
-     << "#endif\n"
      << "  return ACCMOS_ABI_OK;\n"
      << "}\n\n";
 
@@ -580,7 +555,7 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "  if (args->abiVersion != ACCMOS_ABI_VERSION ||\n"
      << "      res->abiVersion != ACCMOS_ABI_VERSION) "
         "return ACCMOS_ABI_EVERSION;\n";
-  emitResultChecks(os, "res->", "  ");
+  emitResultChecks(os);
   os << "  accmos_model* M = new (std::nothrow) accmos_model();\n"
      << "  if (!M) return ACCMOS_ABI_EALLOC;\n"
      << "  int stopped = 0;\n"
@@ -593,186 +568,10 @@ void Emitter::emitAbi(std::ostringstream& os) {
      << "  res->stoppedEarly = (uint32_t)stopped;\n"
      << "  res->timedOut = (uint32_t)timedOut;\n"
      << "  res->execNs = ns;\n";
-  emitResultExtract(
-      os, "res->", [](const std::string& n) { return "M->" + n; }, "  ");
+  emitResultExtract(os);
   os << "  delete M;\n"
      << "  return timedOut ? ACCMOS_ABI_ETIMEOUT : ACCMOS_ABI_OK;\n"
      << "}\n\n";
-}
-
-void Emitter::emitBatchSimLoop(std::ostringstream& os) {
-  os << "  // One fused batch simulation: every live lane advances one step\n"
-     << "  // per outer iteration, so the lane loop over independent SoA\n"
-     << "  // state is what the compiler auto-vectorizes. A lane that stops\n"
-     << "  // early is retired from the loop without touching any other\n"
-     << "  // lane's state; per-lane step counts and early-stop flags land\n"
-     << "  // in bl_steps_/bl_stopped_. The time budget (rarely used here)\n"
-     << "  // applies to the whole batch.\n"
-     << "  void accmos_batch_sim(uint64_t numLanes, const uint64_t* seeds,\n"
-     << "                        uint64_t maxSteps, double budget,\n"
-     << "                        double deadline, uint64_t stepBudget,\n"
-     << "                        unsigned long long* execNs) {\n"
-     << "    for (uint64_t l = 0; l < numLanes; ++l) {\n"
-     << "      accmos_cur_lane_ = (int)l;\n"
-     << "      Model_Init(seeds[l]);\n"
-     << "    }\n"
-     << "    auto t0 = std::chrono::steady_clock::now();\n"
-     << "    uint64_t active = numLanes;\n"
-     << "    for (uint64_t step = 0; step < maxSteps && active > 0; "
-        "++step) {\n"
-     << "      for (uint64_t l = 0; l < numLanes; ++l) {\n"
-     << "        if (bl_done_[l]) continue;\n";
-  if (faults_.hang.armed) {
-    os << "        // ACCMOS_FAULT hang: the lane wedges — it stays active\n"
-       << "        // but makes no more progress (the deadline sweep below,\n"
-       << "        // or the post-loop spin, retires it as timedOut).\n"
-       << "        if (bl_hung_[l]) continue;\n"
-       << "        if (" << faultCond(faults_.hang, "seeds[l]")
-       << ") { bl_hung_[l] = 1; continue; }\n";
-  }
-  if (faults_.crash.armed) {
-    os << "        // ACCMOS_FAULT crash: takes the whole fused batch down\n"
-       << "        // (one address space) — the host guard catches it and\n"
-       << "        // re-runs the chunk's seeds in contained scalar mode.\n"
-       << "        if (" << faultCond(faults_.crash, "seeds[l]")
-       << ") raise(SIGSEGV);\n";
-  }
-  os << "        accmos_cur_lane_ = (int)l;\n"
-     << "        accmos_fill_inputs(step);\n"
-     << "        Model_Exe(step);\n"
-     << "        bl_steps_[l] = step + 1;\n"
-     << "        if (accmos_stop) { bl_done_[l] = 1; bl_stopped_[l] = 1; "
-        "--active; continue; }\n";
-  if (opt_.stopOnDiagnostic) {
-    os << "        if (accmos_diag_fired) { bl_done_[l] = 1; bl_stopped_[l] "
-          "= 1; --active; }\n";
-  }
-  os << "      }\n"
-     << "      if (budget > 0.0 && (step & 1023) == 1023 &&\n"
-     << "          std::chrono::duration<double>(std::chrono::steady_clock"
-        "::now() - t0).count() >= budget) break;\n"
-     << "      // Deadline / step budget: retire every unfinished lane as\n"
-     << "      // timedOut; lanes already done keep their normal results.\n"
-     << "      if ((stepBudget != 0 && step + 1 >= stepBudget &&\n"
-     << "           step + 1 < maxSteps) ||\n"
-     << "          (deadline > 0.0 && (step & 255) == 255 &&\n"
-     << "           accmos_now_s() >= deadline)) {\n"
-     << "        for (uint64_t l = 0; l < numLanes; ++l)\n"
-     << "          if (!bl_done_[l]) { bl_done_[l] = 1; bl_timedout_[l] = 1; "
-        "}\n"
-     << "        active = 0;\n"
-     << "      }\n"
-     << "    }\n";
-  if (faults_.hang.armed) {
-    os << "    // Hung lanes surviving to the end of the loop mirror the\n"
-       << "    // scalar semantics: spin until the deadline (forever when\n"
-       << "    // none) and retire as timedOut.\n"
-       << "    for (uint64_t l = 0; l < numLanes; ++l) {\n"
-       << "      if (bl_done_[l] || !bl_hung_[l]) continue;\n"
-       << "      while (!(deadline > 0.0 && accmos_now_s() >= deadline))\n"
-       << "        accmos_pause_ms(1);\n"
-       << "      bl_done_[l] = 1; bl_timedout_[l] = 1;\n"
-       << "    }\n";
-  }
-  os << "    auto t1 = std::chrono::steady_clock::now();\n"
-     << "    *execNs = (unsigned long long)\n"
-     << "        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - "
-        "t0).count();\n"
-     << "  }\n";
-}
-
-void Emitter::emitBatchAbi(std::ostringstream& os) {
-  os << "extern \"C\" int accmos_run_batch(const AccmosBatchRunArgs* args, "
-        "AccmosBatchRunResult* res) {\n"
-     << "  if (!args || !res ||\n"
-     << "      args->structSize != (uint32_t)sizeof(AccmosBatchRunArgs) ||\n"
-     << "      res->structSize != (uint32_t)sizeof(AccmosBatchRunResult)) "
-        "return ACCMOS_ABI_EARG;\n"
-     << "  if (args->abiVersion != ACCMOS_ABI_VERSION ||\n"
-     << "      res->abiVersion != ACCMOS_ABI_VERSION) "
-        "return ACCMOS_ABI_EVERSION;\n"
-     << "  if (args->numLanes == 0 ||\n"
-     << "      args->numLanes > (uint64_t)(ACCMOS_BATCH_LANES) ||\n"
-     << "      args->seeds == 0 || res->numLanes != args->numLanes ||\n"
-     << "      res->lanes == 0) return ACCMOS_ABI_EBATCH;\n"
-     << "  for (uint64_t l = 0; l < args->numLanes; ++l) {\n"
-     << "    AccmosRunResult* L = &res->lanes[l];\n"
-     << "    if (L->structSize != (uint32_t)sizeof(AccmosRunResult)) "
-        "return ACCMOS_ABI_EARG;\n"
-     << "    if (L->abiVersion != ACCMOS_ABI_VERSION) "
-        "return ACCMOS_ABI_EVERSION;\n";
-  emitResultChecks(os, "L->", "    ");
-  os << "  }\n"
-     << "  accmos_batch* B = new (std::nothrow) accmos_batch();\n"
-     << "  if (!B) return ACCMOS_ABI_EALLOC;\n"
-     << "  unsigned long long ns = 0;\n"
-     << "  B->accmos_batch_sim(args->numLanes, args->seeds, args->maxSteps,\n"
-     << "                      args->timeBudgetSec, args->deadlineSeconds,\n"
-     << "                      args->stepBudget, &ns);\n"
-     << "  uint32_t anyTimedOut = 0;\n"
-     << "  for (uint64_t l = 0; l < args->numLanes; ++l) {\n"
-     << "    AccmosRunResult* L = &res->lanes[l];\n"
-     << "    L->stepsExecuted = B->bl_steps_[l];\n"
-     << "    L->stoppedEarly = B->bl_stopped_[l];\n"
-     << "    L->timedOut = B->bl_timedout_[l];\n"
-     << "    anyTimedOut |= B->bl_timedout_[l];\n"
-     << "    // Lanes run fused, so per-lane wall time is not separable:\n"
-     << "    // every lane reports the whole batch's loop time.\n"
-     << "    L->execNs = ns;\n";
-  emitResultExtract(
-      os, "L->",
-      [](const std::string& n) { return "B->bl_" + n + "[l]"; }, "    ");
-  os << "  }\n"
-     << "  delete B;\n"
-     << "  return anyTimedOut ? ACCMOS_ABI_ETIMEOUT : ACCMOS_ABI_OK;\n"
-     << "}\n";
-}
-
-void Emitter::emitBatch(std::ostringstream& os) {
-  const auto members = stateMembers();
-  os << "// ---- batched execution ----------------------------------------\n"
-     << "// Compiled in only under -DACCMOS_BATCH_LANES=N: the scalar model\n"
-     << "// state is re-laid-out as structure-of-arrays with lane = seed,\n"
-     << "// and the SAME model-function texts are compiled against it via\n"
-     << "// lane-redirection macros (every unqualified state reference\n"
-     << "// becomes bl_<name>[accmos_cur_lane_]). Each lane therefore\n"
-     << "// executes arithmetic textually identical to the scalar path —\n"
-     << "// that is the bit-identity argument the differential tests pin\n"
-     << "// down. Instrumentation state (coverage bitmaps, diagnosis\n"
-     << "// tables, monitors) is per-lane like everything else.\n"
-     << "#ifdef ACCMOS_BATCH_LANES\n";
-  for (const auto& mem : members) {
-    os << "#define " << mem.name << " (bl_" << mem.name
-       << "[accmos_cur_lane_])\n";
-  }
-  os << "namespace {\n"
-     << "struct accmos_batch {\n"
-     << "  int accmos_cur_lane_;\n"
-     << "  uint8_t bl_done_[ACCMOS_BATCH_LANES];\n"
-     << "  uint64_t bl_steps_[ACCMOS_BATCH_LANES];\n"
-     << "  uint32_t bl_stopped_[ACCMOS_BATCH_LANES];\n"
-     << "  uint32_t bl_timedout_[ACCMOS_BATCH_LANES];\n"
-     << (faults_.hang.armed
-             ? "  uint8_t bl_hung_[ACCMOS_BATCH_LANES];\n"
-             : "")
-     << "  // ---- model data, one slot per lane -------------------------\n";
-  for (const auto& mem : members) {
-    os << "  " << mem.type << " bl_" << mem.name << "[ACCMOS_BATCH_LANES]"
-       << mem.dims << ";\n";
-  }
-  os << "\n";
-  emitDiagFn(os);
-  for (const auto& fn : diagFuncs_) os << fn << "\n";
-  emitFillInputs(os);
-  emitModelInit(os);
-  emitModelExe(os);
-  emitBatchSimLoop(os);
-  os << "};\n"
-     << "}  // namespace\n";
-  for (const auto& mem : members) os << "#undef " << mem.name << "\n";
-  os << "\n";
-  emitBatchAbi(os);
-  os << "#endif  // ACCMOS_BATCH_LANES\n\n";
 }
 
 std::string Emitter::generate() {
@@ -846,7 +645,6 @@ std::string Emitter::generate() {
   os << "};\n"
      << "}  // namespace\n\n";
   emitAbi(os);
-  emitBatch(os);
   return os.str();
 }
 

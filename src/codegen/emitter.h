@@ -7,15 +7,13 @@
 // coverage marks, per-actor diagnostic functions, signal-monitor calls,
 // custom signal diagnoses — and composes the model system function, a
 // Model_Init, the simulation loop with the stimulus generator, and the
-// accmos_model_info / accmos_run (/ accmos_run_batch) entry points of the
-// run ABI (run_abi.h), which take the run parameters (steps, budget, seed,
+// accmos_model_info / accmos_run entry points of the run ABI (run_abi.h), which take the run parameters (steps, budget, seed,
 // deadline, step budget) per call. Nothing of a run's parameters is
 // emitted, so the source — and its compile-cache key — depends only on the
 // flattened model, the instrumentation plans, the stimulus shape and the
 // fault plan.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -61,21 +59,7 @@ class Emitter : public EmitSink {
   std::string freshVar(const std::string& hint) override;
 
  private:
-  // One mutable state member of the generated model. The list is built once
-  // and drives three emissions that must agree name-for-name: the scalar
-  // struct's declarations, the batch struct's structure-of-arrays
-  // declarations (name -> bl_name[ACCMOS_BATCH_LANES]<dims>), and the lane
-  // redirection macros that let the shared model-function texts compile
-  // against either layout.
-  struct StateMember {
-    std::string type;     // C++ element type
-    std::string name;     // unqualified member name
-    std::string dims;     // array suffix, e.g. "[3]"; empty for scalars
-    std::string comment;  // trailing comment; empty for none
-  };
-  std::vector<StateMember> stateMembers() const;
-
-  // Static geometry the ABI functions (scalar and batch) validate against.
+  // Static geometry the ABI functions validate against.
   struct AbiGeom {
     int covLen[4];
     const char* covArr[4];
@@ -91,11 +75,6 @@ class Emitter : public EmitSink {
   // emitModelInit/emitModelExe/emitSimLoop produce its members, so every
   // accmos_run() call through the shared library ABI executes against a
   // private, zero-initialized instance.
-  // emitBatch re-emits the identical member-function texts inside a
-  // structure-of-arrays `struct accmos_batch` (behind lane-redirection
-  // macros) plus the fused per-step lane loop and the accmos_run_batch
-  // ABI entry point; the whole block is preprocessor-gated on
-  // ACCMOS_BATCH_LANES so one generated source serves both builds.
   void emitConstTables(std::ostringstream& os);
   void emitDeclarations(std::ostringstream& os);
   void emitDiagFn(std::ostringstream& os);
@@ -104,20 +83,11 @@ class Emitter : public EmitSink {
   void emitModelExe(std::ostringstream& os);
   void emitSimLoop(std::ostringstream& os);
   void emitAbi(std::ostringstream& os);
-  void emitBatch(std::ostringstream& os);
-  void emitBatchSimLoop(std::ostringstream& os);
-  void emitBatchAbi(std::ostringstream& os);
 
-  // Shared between accmos_run and accmos_run_batch: buffer validation and
-  // result extraction for one AccmosRunResult. `ref` prefixes the result
-  // fields (e.g. "res->" / "L->"); `acc` maps a state-member name to its
-  // access expression ("M->name" scalar, "B->bl_name[l]" batch).
-  void emitResultChecks(std::ostringstream& os, const std::string& ref,
-                        const std::string& ind);
-  void emitResultExtract(
-      std::ostringstream& os, const std::string& ref,
-      const std::function<std::string(const std::string&)>& acc,
-      const std::string& ind);
+  // accmos_run's caller-buffer validation against the model geometry, and
+  // its copy of the state instance `M` into the result `res`.
+  void emitResultChecks(std::ostringstream& os);
+  void emitResultExtract(std::ostringstream& os);
 
   std::string makeDiagFunction(
       const std::vector<std::pair<DiagKind, std::string>>& flags);

@@ -124,8 +124,6 @@ void parseDirective(const std::string& d, FaultPlan& plan) {
     plan.slowCompileMs = ms;
   } else if (name == "dlopen-fail") {
     plan.dlopenFail = true;
-  } else if (name == "batch-fail") {
-    plan.batchFail = true;
   } else if (name == "shard-abort") {
     if (hasStep)
       throw ModelError("ACCMOS_FAULT: shard-abort takes no @step: '" + d +

@@ -1,8 +1,8 @@
 // Deterministic fault injection: one env-driven facility (ACCMOS_FAULT)
 // that lets CI and tests exercise every containment path byte-for-byte —
 // hangs and crashes planted in the GENERATED step loop, compiler
-// failures staged in CompilerDriver, the dlopen/batch degradation hooks
-// and shard-worker death — without patching source or depending on luck.
+// failures staged in CompilerDriver, the dlopen degradation hook and
+// shard-worker death — without patching source or depending on luck.
 //
 // Grammar (directives separated by ';' or ','):
 //
@@ -28,7 +28,6 @@
 //   dlopen-fail               the host's ModelLib load fails, so engines
 //                             fall back to the subprocess backend (the
 //                             runner loads the library unaffected).
-//   batch-fail                runBatch() takes the per-seed scalar path.
 //   shard-abort:shard=I       the shard worker serving shard I exits
 //                             right after reading its request.
 //
@@ -62,7 +61,6 @@ struct FaultPlan {
   int slowCompileMs = 0;
 
   bool dlopenFail = false;
-  bool batchFail = false;
 
   bool shardAbort = false;
   uint64_t shardAbortIndex = 0;

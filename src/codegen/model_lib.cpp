@@ -62,10 +62,6 @@ ModelLib::ModelLib(const std::string& path) : path_(path) {
         std::to_string(rc) + ", version=" + std::to_string(gotVersion) +
         ", host expects " + std::to_string(ACCMOS_ABI_VERSION) + ")");
   }
-  // The batch entry point is optional: absent in libraries compiled
-  // without -DACCMOS_BATCH_LANES, which also report batchLanes == 0.
-  runBatch_ = reinterpret_cast<AccmosRunBatchFn>(
-      ::dlsym(handle_, ACCMOS_SYM_RUN_BATCH));
   auto t1 = std::chrono::steady_clock::now();
   loadSeconds_ = std::chrono::duration<double>(t1 - t0).count();
   g_loadCount.fetch_add(1, std::memory_order_relaxed);

@@ -40,21 +40,6 @@ class ModelLib {
     return run_(&args, &res);
   }
 
-  // Maximum lanes per accmos_run_batch call, or 0 when the library has no
-  // batch support (missing symbol, or compiled without
-  // -DACCMOS_BATCH_LANES).
-  uint64_t batchLanes() const {
-    return runBatch_ != nullptr ? info_.batchLanes : 0;
-  }
-
-  // One fused batch run (batchLanes() must be > 0; numLanes within it).
-  // Thread-safe for the same reason run() is: the batch state instance is
-  // private to the call.
-  int runBatch(const AccmosBatchRunArgs& args,
-               AccmosBatchRunResult& res) const {
-    return runBatch_(&args, &res);
-  }
-
   // Wall time spent in dlopen + symbol resolution + info query.
   double loadSeconds() const { return loadSeconds_; }
 
@@ -70,7 +55,6 @@ class ModelLib {
   std::string path_;
   void* handle_ = nullptr;
   AccmosRunFn run_ = nullptr;
-  AccmosRunBatchFn runBatch_ = nullptr;
   AccmosModelInfo info_{};
   double loadSeconds_ = 0.0;
 };

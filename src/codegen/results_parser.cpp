@@ -206,7 +206,7 @@ SimulationResult decodeBinaryResults(
       fail("output values overrun their buffer");
     }
     // In-place retype instead of constructing a fresh Value: this decoder
-    // sits on the per-run hot path of batched campaigns, where an extra
+    // sits on the per-run hot path of campaigns, where an extra
     // allocation per outport is measurable.
     result.finalOutputs[k].resize(sig.type, sig.width);
     for (int i = 0; i < sig.width; ++i) {

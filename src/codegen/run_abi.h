@@ -10,11 +10,11 @@
 // cached shared library.
 //
 // Contract (docs/EXECUTION.md has the narrative version):
-//  - The library exports two mandatory C symbols:
+//  - The library exports exactly two C symbols:
 //      int accmos_model_info(AccmosModelInfo*);
 //      int accmos_run(const AccmosRunArgs*, AccmosRunResult*);
-//    and, when built with -DACCMOS_BATCH_LANES=N, a third optional one:
-//      int accmos_run_batch(const AccmosBatchRunArgs*, AccmosBatchRunResult*);
+//    Every model compiles to this one scalar kernel; campaigns call
+//    accmos_run once per seed.
 //  - All result buffers are CALLER-owned; the library never allocates
 //    memory that outlives a call. The caller sizes them from
 //    accmos_model_info (worst case for the diagnostic tables).
@@ -37,9 +37,9 @@
 
 #include <stdint.h>
 
-/* Version 3: scalar and batch entry points, deadline and step-budget
- * fields in the run args, and the ETIMEOUT retirement status. */
-#define ACCMOS_ABI_VERSION 3u
+/* Version 4: one scalar entry point, deadline and step-budget fields in
+ * the run args, and the ETIMEOUT retirement status. */
+#define ACCMOS_ABI_VERSION 4u
 
 /* accmos_run / accmos_model_info return codes. */
 enum {
@@ -48,7 +48,6 @@ enum {
   ACCMOS_ABI_EVERSION = 2, /* abiVersion mismatch */
   ACCMOS_ABI_EBUFFER = 3,  /* a caller buffer is missing or mis-sized */
   ACCMOS_ABI_EALLOC = 4,   /* model-state allocation failed */
-  ACCMOS_ABI_EBATCH = 5,   /* bad batch geometry (lane count, lane array) */
   ACCMOS_ABI_ETIMEOUT = 6, /* run retired by deadline / step budget;
                             * result fields up to the retirement point are
                             * valid and timedOut is set */
@@ -77,9 +76,6 @@ typedef struct AccmosModelInfo {
   uint64_t numCollect;     /* monitored signals, in emission order */
   uint64_t collectValsLen; /* sum of monitored-signal widths */
   uint64_t outValsLen;     /* sum of root-outport widths */
-  /* Batch capability: maximum lanes accmos_run_batch accepts per call, or
-   * 0 when the library was compiled without batch support. */
-  uint64_t batchLanes;
 } AccmosModelInfo;
 
 typedef struct AccmosRunArgs {
@@ -156,45 +152,11 @@ typedef struct AccmosRunResult {
   uint64_t outValsLen;
 } AccmosRunResult;
 
-/* Arguments for one fused batch call: numLanes independent runs that share
- * a single structure-of-arrays state block and one fused step loop. Lane l
- * simulates seeds[l]; everything else (step/budget limits) is shared. */
-typedef struct AccmosBatchRunArgs {
-  uint32_t structSize; /* sizeof(AccmosBatchRunArgs) */
-  uint32_t abiVersion; /* ACCMOS_ABI_VERSION the caller was built against */
-  uint64_t numLanes;   /* 1 .. AccmosModelInfo.batchLanes */
-  uint64_t maxSteps;
-  double timeBudgetSec;  /* <= 0 = unlimited; applies to the whole batch */
-  const uint64_t* seeds; /* numLanes entries */
-  /* Same semantics as the scalar fields (see AccmosRunArgs). The deadline
-   * applies to the whole fused batch: when it passes, every lane not yet
-   * retired is marked timedOut and the call returns ETIMEOUT (lanes that
-   * already finished keep their normal results). */
-  double deadlineSeconds;
-  uint64_t stepBudget;
-} AccmosBatchRunArgs;
-
-/* Batch results are an array of per-lane scalar result blocks: lane l's
- * outputs land in lanes[l], which must be initialized exactly like a
- * scalar AccmosRunResult (structSize, abiVersion, every caller-owned
- * buffer). The host points the per-lane buffers into one strided arena so
- * a whole chunk costs one allocation set, but the library only sees the
- * per-lane views and never writes outside them. */
-typedef struct AccmosBatchRunResult {
-  uint32_t structSize; /* sizeof(AccmosBatchRunResult) */
-  uint32_t abiVersion; /* caller's ACCMOS_ABI_VERSION */
-  uint64_t numLanes;   /* must equal args->numLanes */
-  AccmosRunResult* lanes;
-} AccmosBatchRunResult;
-
 typedef int (*AccmosModelInfoFn)(AccmosModelInfo*);
 typedef int (*AccmosRunFn)(const AccmosRunArgs*, AccmosRunResult*);
-typedef int (*AccmosRunBatchFn)(const AccmosBatchRunArgs*,
-                                AccmosBatchRunResult*);
 
 #define ACCMOS_SYM_MODEL_INFO "accmos_model_info"
 #define ACCMOS_SYM_RUN "accmos_run"
-#define ACCMOS_SYM_RUN_BATCH "accmos_run_batch"
 
 /* The result file accmos_runner writes for the process backend: this
  * header, then every result buffer of one accmos_run call in AccmosRunResult

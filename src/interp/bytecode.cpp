@@ -846,7 +846,7 @@ double fModFloor(double a, double b) {
 // The Accelerator-mode engine service: an opaque per-operation callback
 // simulating the block-level synchronization with the Simulink process.
 __attribute__((noinline)) void engineService(volatile uint64_t* counter) {
-  *counter += 1;
+  *counter = *counter + 1;
   asm volatile("" ::: "memory");
 }
 

@@ -537,7 +537,6 @@ Json toJson(const SimOptions& o) {
   }
   j.set("customDiagnostics", std::move(customs));
   j.set("execMode", Json::str(std::string(execModeName(o.execMode))));
-  j.set("batchLanes", Json::u64(static_cast<uint64_t>(o.batchLanes)));
   j.set("tier", Json::str(std::string(tierName(o.tier))));
   j.set("optFlag", Json::str(o.optFlag));
   j.set("compileCache", Json::boolean(o.compileCache));
@@ -606,7 +605,6 @@ SimOptions optionsFromJson(const Json& j, const std::string& where) {
   } else {
     badEnum(sub(where, "execMode"), mname);
   }
-  o.batchLanes = static_cast<size_t>(getU64(j, where, "batchLanes"));
   const std::string& tname = getString(j, where, "tier");
   if (tname == tierName(Tier::Native)) {
     o.tier = Tier::Native;

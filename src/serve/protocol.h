@@ -139,7 +139,7 @@ ShardDone shardDoneFromJson(const Json& j, const std::string& where);
 
 // ---- Observation canonicalization --------------------------------------
 // The observation-only view of a campaign: everything that is contractually
-// bit-identical across workers, lanes, exec modes and tiers — per-seed
+// bit-identical across workers, exec modes and tiers — per-seed
 // steps/coverage/diagnostic counts, merged bitmaps, deduplicated
 // diagnostics, failure records, opt stats — with timing and tier-placement
 // fields (execSeconds, execMode, tierSwapIndex, interp/nativeSeeds,

@@ -120,22 +120,14 @@ size_t SpecEvaluator::residentBytes() const {
 }
 
 // Runs every spec, storing the result at the spec's index. With more than
-// one worker, specs are pulled from a shared counter by a pool of threads:
-// the SSE engine gets one persistent interpreter instance per worker; the
-// AccMoS engine's run()/runBatch() are thread-safe in both exec modes, so
-// workers call the per-shape engines directly — concurrent calls into one
-// loaded library (dlopen mode) or concurrent child processes each writing
-// to their own pipe (process mode). The first exception thrown by any
-// worker is rethrown on the caller.
-//
-// Batch scheduling: with the AccMoS engine and batching enabled, workers
-// claim lane-width CHUNKS of consecutive spec indices from the counter,
-// sub-group each chunk by compiled engine (a heterogeneous generator batch
-// interleaves shapes; same-shapeKey() specs share an engine and hence a
-// fused kernel call), and run each group through runBatch(). Result k
-// still lands at out[k], and per-spec results are bit-identical to the
-// scalar path, so the spec-order merge downstream is unchanged — campaign
-// output stays deterministic for any worker count and any lane width.
+// one worker, specs are claimed one at a time from a shared counter by a
+// pool of threads: the SSE engine gets one persistent interpreter instance
+// per worker; the AccMoS engine's runs are thread-safe in both exec modes,
+// so workers call the per-shape engines directly — concurrent calls into
+// one loaded library (dlopen mode) or concurrent child processes each
+// writing to their own pipe (process mode). Result k lands at out[k], so
+// the spec-order merge downstream is deterministic for any worker count.
+// The first exception thrown by any worker is rethrown on the caller.
 std::vector<SimulationResult> SpecEvaluator::evaluate(
     const std::vector<TestCaseSpec>& specs, std::vector<uint8_t>* done) {
   if (specs.empty()) {
@@ -195,60 +187,33 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
     if (interps_.size() < workers) interps_.resize(workers);
   }
 
-  const size_t chunk =
-      opt_.engine == Engine::AccMoS ? std::max<size_t>(1, opt_.batchLanes) : 1;
-
   std::vector<SimulationResult> out(specs.size());
   auto runRange = [&](size_t worker, std::atomic<size_t>& next,
                       std::exception_ptr& error, std::mutex& errMutex) {
     for (;;) {
       // Interruptible batches stop CLAIMING here but always finish a
-      // claimed chunk, so claims — handed out by the monotonic counter —
+      // claimed spec, so claims — handed out by the monotonic counter —
       // cover a prefix of the spec order and every claim completes: the
       // finished set is a contiguous prefix, which makes the partial
       // merge downstream well-defined.
       if (done != nullptr && interruptRequested()) break;
-      size_t k0 = next.fetch_add(chunk);
-      if (k0 >= specs.size()) break;
-      size_t k1 = std::min(specs.size(), k0 + chunk);
+      size_t k = next.fetch_add(1);
+      if (k >= specs.size()) break;
       try {
         if (opt_.engine == Engine::SSE) {
           auto& interp = interps_[worker];
           if (!interp) interp = std::make_unique<Interpreter>(fm_, opt_);
-          for (size_t k = k0; k < k1; ++k) {
-            out[k] = interp->run(specs[k]);
-            markFirstResult();
-          }
+          out[k] = interp->run(specs[k]);
+        } else if (engineOf[k] == nullptr) {
+          out[k] = compileFailedResult(specs[k].seed, buildError[k]);
         } else {
-          // Group consecutive same-engine specs into one contained batch
-          // call; the engine chunks further to its lane width and falls
-          // back to scalar runs when the library cannot batch. Contained
-          // execution never throws for per-run faults — a hung or crashed
-          // seed comes back as a failed result and its neighbours are
-          // unaffected.
-          size_t g0 = k0;
-          while (g0 < k1) {
-            if (engineOf[g0] == nullptr) {
-              out[g0] = compileFailedResult(specs[g0].seed, buildError[g0]);
-              markFirstResult();
-              ++g0;
-              continue;
-            }
-            size_t g1 = g0 + 1;
-            while (g1 < k1 && engineOf[g1] == engineOf[g0]) ++g1;
-            std::vector<uint64_t> seeds;
-            seeds.reserve(g1 - g0);
-            for (size_t k = g0; k < g1; ++k) seeds.push_back(specs[k].seed);
-            std::vector<SimulationResult> rs =
-                engineOf[g0]->runBatchContained(seeds, worker);
-            for (size_t k = g0; k < g1; ++k) out[k] = std::move(rs[k - g0]);
-            markFirstResult();
-            g0 = g1;
-          }
+          // Contained execution never throws for per-run faults — a hung
+          // or crashed seed comes back as a failed result and its
+          // neighbours are unaffected.
+          out[k] = engineOf[k]->runContained(specs[k].seed, worker);
         }
-        if (done != nullptr) {
-          for (size_t k = k0; k < k1; ++k) (*done)[k] = 1;
-        }
+        markFirstResult();
+        if (done != nullptr) (*done)[k] = 1;
       } catch (...) {
         std::lock_guard<std::mutex> lock(errMutex);
         if (!error) error = std::current_exception();
@@ -277,8 +242,8 @@ std::vector<SimulationResult> SpecEvaluator::evaluate(
 // Merge strictly in spec order: coverage-bitmap unions, diagnostic
 // deduplication and the per-spec cumulative reports are computed exactly
 // as a sequential run would, so the campaign outcome is independent of the
-// execution interleaving that produced `results` — worker pools, batch
-// lanes, tier swaps, or shard processes (src/dist) all feed the same merge.
+// execution interleaving that produced `results` — worker pools, tier
+// swaps, or shard processes (src/dist) all feed the same merge.
 CampaignResult mergeSpecResults(const FlatModel& model,
                                 const std::vector<TestCaseSpec>& specs,
                                 const std::vector<SimulationResult>& results,

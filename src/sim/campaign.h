@@ -10,13 +10,12 @@
 //
 // Campaigns scale across cores: `SimOptions::campaign.workers` fans the
 // seeds out over a worker pool (N concurrent executions of the one
-// compiled binary, or one interpreter instance per worker for SSE).
-// With the dlopen backend and batching on (SimOptions::batchLanes), each
-// worker claims lane-width chunks of seeds and fuses them through the
-// library's accmos_run_batch kernel (docs/EXECUTION.md). Per-seed results
-// are collected and then merged in seed order, so the outcome — per-seed
+// compiled binary, or one interpreter instance per worker for SSE). Each
+// worker claims one seed at a time and runs it through the library's
+// scalar accmos_run kernel (docs/EXECUTION.md). Per-seed results are
+// collected and then merged in seed order, so the outcome — per-seed
 // reports, merged bitmaps, deduplicated diagnostics — is bit-identical to
-// the sequential scalar run for any worker count and any lane width.
+// the sequential run for any worker count.
 #pragma once
 
 #include <atomic>
@@ -45,8 +44,8 @@ struct CampaignSeedResult {
   CoverageReport cumulative;        // union up to and including this seed
   size_t diagnosticKinds = 0;       // distinct (actor, kind) events
   // Execution backend that answered this seed: "interp" when the
-  // interpreter tier served it (SimOptions::tier), "dlopen" /
-  // "dlopen-batch" / "process" for native runs; empty for SSE campaigns.
+  // interpreter tier served it (SimOptions::tier), "dlopen" / "process"
+  // for native runs; empty for SSE campaigns.
   std::string execMode;
   // This seed's run was contained as a failure (timeout, crash, compile
   // failure): it contributed nothing to the merge, and the matching
@@ -87,7 +86,7 @@ struct CampaignResult {
   // aborts because one seed hung or crashed: the failed seed is recorded
   // here, excluded from the coverage/diagnostic merge, and every surviving
   // seed's contribution is bit-identical to a fault-free campaign over the
-  // survivors — for any worker count and any lane width.
+  // survivors — for any worker count.
   std::vector<RunFailure> failures;
   // The optimization pipeline runs once per campaign (not per seed);
   // ran == false when SimOptions::optimize was off.
@@ -194,10 +193,10 @@ class SpecEvaluator {
   // worker count or interleaving.
   //
   // When `done` is non-null the batch becomes cooperatively interruptible:
-  // workers stop claiming new chunks once interruptRequested()
-  // (sim/interrupt.h) reads true, finish every chunk already claimed, and
+  // workers stop claiming new specs once interruptRequested()
+  // (sim/interrupt.h) reads true, finish every spec already claimed, and
   // done->at(k) is set for exactly the completed specs — always a
-  // contiguous prefix, because chunk claims come from a monotonic counter.
+  // contiguous prefix, because claims come from a monotonic counter.
   // A null `done` (the default, and what the deterministic generator loop
   // uses) ignores the interrupt flag entirely.
   std::vector<SimulationResult> evaluate(const std::vector<TestCaseSpec>& specs,

@@ -52,32 +52,6 @@ struct CampaignOptions {
   size_t workers = 1;
 };
 
-// execMode string reported by SimulationResult::execMode for runs that went
-// through the fused batch kernel ("dlopen" and "process" come from
-// execModeName; the batch kernel is a capability of the dlopen backend, not
-// a third ExecMode, so it gets its own reporting string).
-inline constexpr const char* kExecModeDlopenBatch = "dlopen-batch";
-
-// Default for SimOptions::batchLanes: the ACCMOS_BATCH environment variable.
-//   unset/empty/"on"  -> 8 lanes (batching on by default)
-//   "0"/"off"/"no"    -> 0 (batching disabled; every run is scalar)
-//   a number N        -> N lanes (clamped to 64)
-// This is the CI toggle that reruns the whole test suite with batching
-// forced on and forced off.
-inline size_t defaultBatchLanes() {
-  const char* v = std::getenv("ACCMOS_BATCH");
-  if (v == nullptr || v[0] == '\0') return 8;
-  const std::string s(v);
-  if (s == "0" || s == "off" || s == "no") return 0;
-  if (s == "on" || s == "yes") return 8;
-  char* end = nullptr;
-  unsigned long n = std::strtoul(v, &end, 10);
-  if (end != v && *end == '\0' && n > 0) {
-    return n < 64 ? static_cast<size_t>(n) : 64;
-  }
-  return 8;
-}
-
 // Tiered execution policy for the AccMoS engine (docs/EXECUTION.md,
 // "Tiered execution").
 //   Native — construct the compiled engine synchronously (the classic
@@ -162,16 +136,6 @@ struct SimOptions {
 
   // AccMoS codegen knobs.
   ExecMode execMode = defaultExecMode();  // see ExecMode above
-  // Lane width of the fused batch kernel compiled into the shared library
-  // (-DACCMOS_BATCH_LANES=N), used by multi-seed entry points
-  // (AccMoSEngine::runBatch, campaigns, the generator's SpecEvaluator).
-  // 0 disables batching entirely: the library is compiled without the
-  // batch kernel and every run goes through scalar accmos_run(). Only
-  // meaningful for the dlopen backend; the subprocess backend is always
-  // scalar. Batched results are bit-identical to scalar ones by contract
-  // (enforced by the differential suites), so this knob only moves
-  // throughput, never observations.
-  size_t batchLanes = defaultBatchLanes();
   // Tiered execution policy (see Tier above; CLI --tier=, env ACCMOS_TIER).
   Tier tier = defaultTier();
   std::string optFlag = "-O3";   // compiler optimization level

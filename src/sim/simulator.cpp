@@ -11,16 +11,10 @@
 namespace accmos {
 namespace {
 
-SimulationResult dispatch(const FlatModel& fm, SimOptions opt,
+SimulationResult dispatch(const FlatModel& fm, const SimOptions& opt,
                           const TestCaseSpec& tests) {
   switch (opt.engine) {
     case Engine::AccMoS:
-      // A single run never calls the batch kernel, and building it runs
-      // the model text through the compiler twice. Multi-seed entry points
-      // (campaigns, gen, the daemon, shards) keep their lanes. Set before
-      // either engine is built so the tiered async precompile and the
-      // native engine name the same cache entry.
-      opt.batchLanes = 0;
       if (opt.tier != Tier::Native) {
         // Tiered single run: under Auto this answers on whichever tier is
         // ready first (a warm compile cache makes it native; a cold one

@@ -3,9 +3,9 @@
 // corrupted or truncated cached binary is detected by the size+hash
 // sidecar and falls back to a recompile — never to executing the damaged
 // file. The source carries no run parameters, so sweeping seeds and step
-// counts hits one entry, and single runs build the scalar-only library.
-// One artifact per model: process runs and fault-ladder fallbacks run the
-// already-compiled library and never invoke the compiler again.
+// counts hits one entry. One artifact per model: campaigns, process runs
+// and fault-ladder fallbacks run the library a single run compiled and
+// never invoke the compiler again.
 // Plus the CompilerDriver error-path regression: uncompilable source
 // surfaces compiler stderr through a catchable ModelError.
 #include <gtest/gtest.h>
@@ -261,59 +261,6 @@ TEST_F(CompileCacheTest, SharedLibIsTheOnlyArtifact) {
   EXPECT_EQ(again.exePath, lib.exePath);
 }
 
-// The batch capability is compiled in via -DACCMOS_BATCH_LANES=N without
-// changing the generated source, so the extra flags must be part of the
-// content address: a cached batchless library served to a batch-requesting
-// engine would silently drop the kernel — every runBatch() falling back to
-// scalar — and the reverse would leak the kernel into engines that asked
-// for none.
-TEST_F(CompileCacheTest, BatchCapabilityIsPartOfTheCacheKey) {
-  const std::string src = "int main(){}";
-  EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_BATCH_LANES=8"));
-  EXPECT_NE(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_BATCH_LANES=4"),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     "-DACCMOS_BATCH_LANES=8"));
-  // No extra flags keeps the pre-existing addresses.
-  EXPECT_EQ(CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib),
-            CompilerDriver::cacheKey(src, "-O2", ArtifactKind::SharedLib,
-                                     ""));
-
-  // Engine-level regression: warm the cache with a batchless library, then
-  // ask for a batched one. A false hit would hand back the batchless
-  // artifact and the new engine would report no kernel.
-  auto t = gainModel(2.0);
-  Simulator sim(t->model());
-  TestCaseSpec tests;
-  SimOptions scalarOpt = accOptions();
-  scalarOpt.execMode = ExecMode::Dlopen;
-  scalarOpt.batchLanes = 0;
-  AccMoSEngine scalar(sim.flatModel(), scalarOpt, tests);
-  EXPECT_FALSE(scalar.compileCacheHit());
-  EXPECT_EQ(scalar.batchLanes(), 0u);
-
-  SimOptions batchOpt = scalarOpt;
-  batchOpt.batchLanes = 8;
-  AccMoSEngine batched(sim.flatModel(), batchOpt, tests);
-  EXPECT_FALSE(batched.compileCacheHit())
-      << "batch-requesting engine must not hit the batchless entry";
-  EXPECT_NE(batched.exePath(), scalar.exePath());
-  EXPECT_EQ(batched.batchLanes(), 8u);
-  std::vector<SimulationResult> rs = batched.runBatch({1, 2});
-  ASSERT_EQ(rs.size(), 2u);
-  EXPECT_EQ(rs[0].execMode, kExecModeDlopenBatch);
-
-  // Both capabilities now have their own entries and hit independently.
-  AccMoSEngine scalarAgain(sim.flatModel(), scalarOpt, tests);
-  AccMoSEngine batchedAgain(sim.flatModel(), batchOpt, tests);
-  EXPECT_TRUE(scalarAgain.compileCacheHit());
-  EXPECT_TRUE(batchedAgain.compileCacheHit());
-  EXPECT_EQ(scalarAgain.batchLanes(), 0u);
-  EXPECT_EQ(batchedAgain.batchLanes(), 8u);
-}
-
 // In1 -> Gain -> Saturation -> Out1: a model with decision coverage, whose
 // outputs depend on the stimulus seed.
 std::unique_ptr<Tiny> saturatedGainModel() {
@@ -443,16 +390,14 @@ TEST_F(CompileCacheTest, WarmSingleRunWithNewSeedAndStepsDoesNotCompile) {
   }
 }
 
-// A single run never calls the batch kernel, so simulate() builds the
-// scalar library even when lanes are requested; the first multi-seed
-// entry point pays for the lane build once, and its per-seed results are
-// bit-identical to the scalar single runs.
-TEST_F(CompileCacheTest, SingleRunsBuildScalarCampaignAddsTheLaneBuild) {
+// Every model compiles one library: a campaign after single runs of the
+// same model is a compile-cache hit, and its per-seed results are the
+// single runs folded through the campaign's own merge.
+TEST_F(CompileCacheTest, CampaignReusesTheSingleRunLibrary) {
   auto t = saturatedGainModel();
   Simulator sim(t->model());
   SimOptions opt = singleRunOptions(ExecMode::Dlopen);
-  opt.batchLanes = 8;
-  opt.campaign.workers = 1;
+  opt.campaign.workers = 2;
 
   std::vector<TestCaseSpec> specs(8);
   std::vector<uint64_t> seeds;
@@ -467,30 +412,21 @@ TEST_F(CompileCacheTest, SingleRunsBuildScalarCampaignAddsTheLaneBuild) {
   EXPECT_EQ(CompilerDriver::compilerInvocations() - inv0, 1u);
   EXPECT_EQ(cacheEntries(dir_), 1u);
 
-  // The one entry is the batchless library.
+  const uint64_t inv1 = CompilerDriver::compilerInvocations();
+  CampaignResult campaign =
+      runCampaign(sim.flatModel(), opt, TestCaseSpec{}, seeds);
+  EXPECT_EQ(CompilerDriver::compilerInvocations() - inv1, 0u)
+      << "the campaign must reuse the single-run library";
+  EXPECT_EQ(cacheEntries(dir_), 1u);
+  ASSERT_EQ(campaign.perSeed.size(), singles.size());
+  for (const auto& row : campaign.perSeed) EXPECT_EQ(row.execMode, "dlopen");
+
+  // Folding the single runs through the campaign's own merge must give
+  // the campaign's result: same rows, bitmaps and diagnostics.
   OptStats optStats;
   const FlatModel model =
       opt.optimize ? optimizeModel(sim.flatModel(), opt, &optStats)
                    : sim.flatModel();
-  SimOptions scalarOpt = opt;
-  scalarOpt.batchLanes = 0;
-  AccMoSEngine scalar(model, scalarOpt, TestCaseSpec{});
-  EXPECT_TRUE(scalar.compileCacheHit());
-  EXPECT_EQ(scalar.batchLanes(), 0u);
-  EXPECT_EQ(CompilerDriver::compilerInvocations() - inv0, 1u);
-
-  CampaignResult campaign =
-      runCampaign(sim.flatModel(), opt, TestCaseSpec{}, seeds);
-  EXPECT_EQ(CompilerDriver::compilerInvocations() - inv0, 2u)
-      << "the 8-lane campaign compiles exactly once more";
-  EXPECT_EQ(cacheEntries(dir_), 2u);
-  ASSERT_EQ(campaign.perSeed.size(), singles.size());
-  for (const auto& row : campaign.perSeed) {
-    EXPECT_EQ(row.execMode, kExecModeDlopenBatch);
-  }
-
-  // Folding the single runs through the campaign's own merge must give
-  // the campaign's result: same rows, bitmaps and diagnostics.
   const CampaignResult fromSingles =
       mergeSpecResults(model, specs, singles, specs.size(), optStats);
   for (size_t k = 0; k < singles.size(); ++k) {

@@ -330,7 +330,6 @@ TEST(Protocol, SimOptionsRoundTripAndDaemonLocalFieldsDropped) {
   o.customDiagnostics.push_back(rangeDiagnostic("root/A", "lane", -1.0, 1.0));
   o.customDiagnostics.push_back(suddenChangeDiagnostic("root/B", "jump", 0.5));
   o.execMode = ExecMode::Process;
-  o.batchLanes = 16;
   o.tier = Tier::Auto;
   o.optFlag = "-O1";
   o.compileCache = false;
@@ -362,7 +361,6 @@ TEST(Protocol, SimOptionsRoundTripAndDaemonLocalFieldsDropped) {
             CustomDiagnostic::Kind::SuddenChange);
   EXPECT_EQ(back.customDiagnostics[1].maxDelta, 0.5);
   EXPECT_EQ(back.execMode, o.execMode);
-  EXPECT_EQ(back.batchLanes, o.batchLanes);
   EXPECT_EQ(back.tier, o.tier);
   EXPECT_EQ(back.optFlag, o.optFlag);
   EXPECT_EQ(back.compileCache, o.compileCache);

@@ -2,10 +2,10 @@
 // CompilerDriver primitives (single-flight de-duplication, cooperative
 // cancellation on the background pool) and the TieredEngine built on them.
 // The soundness contract under test: campaign results are bit-identical
-// across --tier=native/auto/interp for every worker count and lane width,
-// regardless of where (or whether) the hot-swap lands — plus the forced-
-// native hardening rules and all-interp graceful degradation when the
-// compile never finishes or the compiler is gone.
+// across --tier=native/auto/interp for every worker count, regardless of
+// where (or whether) the hot-swap lands — plus the forced-native hardening
+// rules and all-interp graceful degradation when the compile never
+// finishes or the compiler is gone.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -33,7 +33,7 @@ using test::Tiny;
 
 // Scope-local environment override; the previous value is restored on
 // exit, so these tests behave the same under ambient ACCMOS_TIER /
-// ACCMOS_EXEC_MODE / ACCMOS_BATCH CI sweeps.
+// ACCMOS_EXEC_MODE CI sweeps.
 class EnvGuard {
  public:
   EnvGuard(const char* name, const char* value) : name_(name) {
@@ -106,9 +106,8 @@ SimOptions tierOptions(Tier tier, uint64_t steps = 300) {
   opt.optFlag = "-O1";  // cheap compiles; tiering behaves the same
   opt.tier = tier;
   // Pinned: the tier sweep asserts native execMode strings, and CI reruns
-  // the suite under ACCMOS_EXEC_MODE=process / ACCMOS_BATCH=0.
+  // the suite under ACCMOS_EXEC_MODE=process.
   opt.execMode = ExecMode::Dlopen;
-  opt.batchLanes = 8;
   return opt;
 }
 
@@ -303,12 +302,11 @@ TEST_F(TieredTest, InjectedCompileFaultIsNotDodgedByTiering) {
 // ---------------------------------------------------------------------------
 // Campaign differentials: native vs auto vs interp.
 
-// The satellite sweep: merged campaign results must be bit-identical to
-// the pure-native reference for tiers {auto, interp} x workers {1, 2, 4}
-// x lanes {0, 8} — whatever mix of tiers answered the seeds (the auto
-// runs start cold for each lane width, so early seeds go interpreted and
-// the rest native after the mid-campaign swap).
-TEST_F(TieredTest, CampaignsMatchNativeAcrossTiersWorkersAndLanes) {
+// Merged campaign results must be bit-identical to the pure-native
+// reference for tiers {auto, interp} x workers {1, 2, 4} — whatever mix of
+// tiers answered the seeds (the auto runs start cold, so early seeds go
+// interpreted and the rest native after the mid-campaign swap).
+TEST_F(TieredTest, CampaignsMatchNativeAcrossTiersAndWorkers) {
   auto model = sampleOverflowModel();
   TestCaseSpec base = sampleOverflowStimulus();
   Simulator sim(*model);
@@ -316,41 +314,36 @@ TEST_F(TieredTest, CampaignsMatchNativeAcrossTiersWorkersAndLanes) {
                                  1148, 1185, 1222, 1259};
 
   SimOptions refOpt = tierOptions(Tier::Native, 300);
-  refOpt.batchLanes = 0;
   CampaignResult ref = runCampaign(sim.flatModel(), refOpt, base, seeds);
   ASSERT_TRUE(ref.failures.empty());
   EXPECT_EQ(ref.interpSeeds, 0u);
   EXPECT_EQ(ref.tierSwapIndex, -1);
 
   for (Tier tier : {Tier::Auto, Tier::Interp}) {
-    for (size_t lanes : {size_t{0}, size_t{8}}) {
-      if (tier == Tier::Auto) clearCache();  // cold start per lane width
-      for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
-        SimOptions opt = tierOptions(tier, 300);
-        opt.batchLanes = lanes;
-        opt.campaign.workers = workers;
-        CampaignResult cr = runCampaign(sim.flatModel(), opt, base, seeds);
-        std::string label = std::string(tierName(tier)) + "/lanes" +
-                            std::to_string(lanes) + "/w" +
-                            std::to_string(workers);
-        ASSERT_TRUE(cr.failures.empty()) << label;
-        expectSameCampaign(cr, ref, label);
-        EXPECT_EQ(cr.interpSeeds + cr.nativeSeeds, seeds.size()) << label;
-        if (tier == Tier::Interp) {
-          EXPECT_EQ(cr.interpSeeds, seeds.size()) << label;
-          EXPECT_EQ(cr.nativeSeeds, 0u) << label;
-          for (const auto& sr : cr.perSeed) {
-            EXPECT_EQ(sr.execMode, kExecModeInterp) << label;
-          }
+    if (tier == Tier::Auto) clearCache();  // cold start
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+      SimOptions opt = tierOptions(tier, 300);
+      opt.campaign.workers = workers;
+      CampaignResult cr = runCampaign(sim.flatModel(), opt, base, seeds);
+      std::string label =
+          std::string(tierName(tier)) + "/w" + std::to_string(workers);
+      ASSERT_TRUE(cr.failures.empty()) << label;
+      expectSameCampaign(cr, ref, label);
+      EXPECT_EQ(cr.interpSeeds + cr.nativeSeeds, seeds.size()) << label;
+      if (tier == Tier::Interp) {
+        EXPECT_EQ(cr.interpSeeds, seeds.size()) << label;
+        EXPECT_EQ(cr.nativeSeeds, 0u) << label;
+        for (const auto& sr : cr.perSeed) {
+          EXPECT_EQ(sr.execMode, kExecModeInterp) << label;
         }
-        // A swap index is only reported when both tiers actually ran,
-        // and then it points at a native seed preceded by an interp one.
-        if (cr.tierSwapIndex >= 0) {
-          ASSERT_GT(cr.interpSeeds, 0u) << label;
-          ASSERT_GT(cr.nativeSeeds, 0u) << label;
-          const auto& at = cr.perSeed[static_cast<size_t>(cr.tierSwapIndex)];
-          EXPECT_NE(at.execMode, kExecModeInterp) << label;
-        }
+      }
+      // A swap index is only reported when both tiers actually ran, and
+      // then it points at a native seed preceded by an interp one.
+      if (cr.tierSwapIndex >= 0) {
+        ASSERT_GT(cr.interpSeeds, 0u) << label;
+        ASSERT_GT(cr.nativeSeeds, 0u) << label;
+        const auto& at = cr.perSeed[static_cast<size_t>(cr.tierSwapIndex)];
+        EXPECT_NE(at.execMode, kExecModeInterp) << label;
       }
     }
   }
