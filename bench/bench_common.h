@@ -74,10 +74,18 @@ inline std::string jsonEscape(const std::string& s) {
   return out;
 }
 
+// `s` escaped and quoted. Appended, not "\"" + ...: GCC 12 -Wrestrict.
+inline std::string jsonQuote(const std::string& s) {
+  std::string out = "\"";
+  out += jsonEscape(s);
+  out += '"';
+  return out;
+}
+
 class JsonRow {
  public:
   JsonRow& str(const std::string& key, const std::string& value) {
-    return add(key, "\"" + jsonEscape(value) + "\"");
+    return add(key, jsonQuote(value));
   }
   JsonRow& num(const std::string& key, double value) {
     char buf[40];
@@ -102,7 +110,10 @@ class JsonRow {
 
  private:
   JsonRow& add(const std::string& key, const std::string& rendered) {
-    fields_.push_back("\"" + jsonEscape(key) + "\": " + rendered);
+    std::string field = jsonQuote(key);
+    field += ": ";
+    field += rendered;
+    fields_.push_back(std::move(field));
     return *this;
   }
   std::vector<std::string> fields_;

@@ -447,8 +447,9 @@ class UnaryMinusSpec : public UnaryBase {
     EmitFlags flags = declareArithFlags(ctx);
     beginElemLoop(ctx, ctx.outWidth());
     if (isFloatType(ctx.outType())) {
-      ctx.line(ctx.storeOutStmt("i", "-" + ctx.inElem(0, "i", DataType::F64),
-                                flags.wrap, flags.prec));
+      std::string neg = "-";  // appended, not "-" + ...: GCC 12 -Wrestrict
+      neg += ctx.inElem(0, "i", DataType::F64);
+      ctx.line(ctx.storeOutStmt("i", neg, flags.wrap, flags.prec));
     } else {
       ctx.line(ctx.storeOutStmt(
           "i", "-(__int128)" + ctx.inElem(0, "i", DataType::I64), flags.wrap,

@@ -17,6 +17,12 @@ std::string sanitizeIdent(const std::string& name) {
   return out;
 }
 
+std::string signalSymbol(int id) {
+  std::string sym = "s";  // appended, not "s" + ...: GCC 12 -Wrestrict
+  sym += std::to_string(id);
+  return sym;
+}
+
 std::string dataStoreSymbol(int index, const std::string& name) {
   return "ds" + std::to_string(index) + "_" + sanitizeIdent(name);
 }

@@ -31,6 +31,11 @@ namespace accmos {
 // symbols built from user-controlled names must also carry a unique index.
 std::string sanitizeIdent(const std::string& name);
 
+// The generated-code name of signal `id`. Codegen decides whether it is a
+// local of Model_Exe or a member of the model-state struct; the name is
+// the same either way, so actor templates never need to know.
+std::string signalSymbol(int id);
+
 // The generated-code global for data store `index`. The index makes the
 // symbol collision-free even when two store names sanitize identically; the
 // sanitized name keeps the source readable.
@@ -187,10 +192,10 @@ class EmitContext {
 
   // Variable names used by the emitter's declarations.
   std::string in(int port) const {
-    return "s" + std::to_string(fa_->inputs[static_cast<size_t>(port)]);
+    return signalSymbol(fa_->inputs[static_cast<size_t>(port)]);
   }
   std::string out(int port = 0) const {
-    return "s" + std::to_string(fa_->outputs[static_cast<size_t>(port)]);
+    return signalSymbol(fa_->outputs[static_cast<size_t>(port)]);
   }
   std::string state() const { return "st" + std::to_string(fa_->id); }
   std::string store() const {

@@ -34,6 +34,44 @@ std::string faultCond(const FaultPlan::SiteFault& f) {
   return c;
 }
 
+// Signals Model_Exe keeps in locals because no value of theirs outlives
+// the step that wrote it (DESIGN.md §5). A signal qualifies when
+//  - its writer runs unguarded every step (an enabled subsystem's outputs
+//    must hold their value while it is disabled),
+//  - its writer is not a root Inport (accmos_fill_inputs writes those),
+//  - no actor scheduled up to its writer reads it (that read would see
+//    the previous step's value), and
+//  - it feeds no root Outport (accmos_run reads those after the loop).
+std::vector<bool> stepLocalSignals(const FlatModel& fm) {
+  std::vector<size_t> pos(fm.actors.size());
+  for (size_t k = 0; k < fm.schedule.size(); ++k) {
+    pos[static_cast<size_t>(fm.schedule[k])] = k;
+  }
+  std::vector<bool> local(fm.signals.size(), false);
+  for (const FlatActor& fa : fm.actors) {
+    if (fa.enableSignal >= 0) continue;
+    for (int s : fa.outputs) local[static_cast<size_t>(s)] = true;
+  }
+  for (int id : fm.rootInports) {
+    for (int s : fm.actor(id).outputs) local[static_cast<size_t>(s)] = false;
+  }
+  for (int id : fm.rootOutports) {
+    local[static_cast<size_t>(fm.actor(id).inputs[0])] = false;
+  }
+  for (const FlatActor& fa : fm.actors) {
+    auto read = [&](int s) {
+      int w = fm.signal(s).producerActor;
+      if (w >= 0 && pos[static_cast<size_t>(fa.id)] <=
+                        pos[static_cast<size_t>(w)]) {
+        local[static_cast<size_t>(s)] = false;
+      }
+    };
+    for (int s : fa.inputs) read(s);
+    if (fa.enableSignal >= 0) read(fa.enableSignal);
+  }
+  return local;
+}
+
 }  // namespace
 
 Emitter::Emitter(const FlatModel& fm, const SimOptions& opt,
@@ -44,7 +82,8 @@ Emitter::Emitter(const FlatModel& fm, const SimOptions& opt,
       tests_(tests),
       covPlan_(covPlan),
       diagPlan_(diagPlan),
-      faults_(faultPlanFromEnv()) {
+      faults_(faultPlanFromEnv()),
+      stepLocal_(stepLocalSignals(fm)) {
   collectSignals_ = monitoredSignals(fm_, opt_.collectList);
 }
 
@@ -168,9 +207,11 @@ void Emitter::emitDeclarations(std::ostringstream& os) {
                               " * " + std::to_string(kNumDiagKinds) + "]";
   member("uint64_t", "accmos_diag_first", diagDim, "");
   member("uint64_t", "accmos_diag_count", diagDim, "");
-  // Signals.
-  for (const auto& sig : fm_.signals) {
-    member(cpp(sig.type), "s" + std::to_string(&sig - fm_.signals.data()),
+  // Signals that outlive a step (the rest are locals of Model_Exe).
+  for (size_t k = 0; k < fm_.signals.size(); ++k) {
+    if (stepLocal_[k]) continue;
+    const SignalInfo& sig = fm_.signals[k];
+    member(cpp(sig.type), signalSymbol(static_cast<int>(k)),
            "[" + std::to_string(sig.width) + "]", sig.name);
   }
   // Actor states.
@@ -230,7 +271,10 @@ void Emitter::emitDeclarations(std::ostringstream& os) {
 }
 
 void Emitter::emitDiagFn(std::ostringstream& os) {
-  os << "  void accmos_diag(int actor, int kind, uint64_t step) {\n"
+  // Out of line and cold: one recorder body shared by every diagnose_*
+  // site instead of a copy inlined into each.
+  os << "  __attribute__((noinline, cold))\n"
+     << "  void accmos_diag(int actor, int kind, uint64_t step) {\n"
      << "    int idx = actor * " << kNumDiagKinds << " + kind;\n"
      << "    if (accmos_diag_count[idx] == 0) accmos_diag_first[idx] = "
         "step;\n"
@@ -256,10 +300,9 @@ void Emitter::emitFillInputs(std::ostringstream& os) {
       os << "    double v = tc_seq_" << k << "[step % "
          << stim.sequence.size() << "ULL];\n";
     }
-    std::string dst = "s";  // appended, not "s" + ...: GCC 12 -Wrestrict
-    dst += std::to_string(fa.outputs[0]);
-    dst += "[i]";
-    os << "    " << storeFromDouble(sig.type, dst, "v") << "\n";
+    os << "    "
+       << storeFromDouble(sig.type, signalSymbol(fa.outputs[0]) + "[i]", "v")
+       << "\n";
     os << "  }\n";
   }
   os << "}\n\n";
@@ -315,13 +358,19 @@ void Emitter::emitModelInit(std::ostringstream& os) {
 void Emitter::emitModelExe(std::ostringstream& os) {
   os << "void Model_Exe(uint64_t step) {\n";
   os << "  (void)step;\n";
+  for (size_t k = 0; k < fm_.signals.size(); ++k) {
+    if (!stepLocal_[k]) continue;
+    const SignalInfo& sig = fm_.signals[k];
+    os << "  " << cpp(sig.type) << " " << signalSymbol(static_cast<int>(k))
+       << "[" << sig.width << "];  // " << sig.name << "\n";
+  }
   os << evalSection_.str();
   os << "  // ---- state update phase ----\n";
   os << updateSection_.str();
   // Signal monitor (paper Fig. 3).
   for (size_t k = 0; k < collectSignals_.size(); ++k) {
-    os << "  memcpy(col" << k << ", s" << collectSignals_[k] << ", sizeof(col"
-       << k << ")); colcnt" << k << " += 1;\n";
+    os << "  memcpy(col" << k << ", " << signalSymbol(collectSignals_[k])
+       << ", sizeof(col" << k << ")); colcnt" << k << " += 1;\n";
   }
   // Custom signal diagnoses (paper §3.2.B).
   for (size_t k = 0; k < opt_.customDiagnostics.size(); ++k) {
@@ -330,7 +379,7 @@ void Emitter::emitModelExe(std::ostringstream& os) {
     if (fa == nullptr || fa->outputs.empty()) continue;
     const SignalInfo& sig = fm_.signal(fa->outputs[0]);
     os << "  { double cur = "
-       << asDoubleExpr(sig.type, "s" + std::to_string(fa->outputs[0]) + "[0]")
+       << asDoubleExpr(sig.type, signalSymbol(fa->outputs[0]) + "[0]")
        << ";\n    double prev = cd_has_" << k << " ? cd_prev_" << k
        << " : 0.0; (void)prev;\n    int fire = 0;\n";
     switch (cd.kind) {
@@ -374,7 +423,7 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
      << "    Model_Init(seed);\n"
      << "    int stopped = 0;\n"
      << "    *timedOut = 0;\n"
-     << "    auto t0 = std::chrono::steady_clock::now();\n"
+     << "    uint64_t t0 = accmos_now_ns();\n"
      << "    uint64_t step = 0;\n"
      << "    for (; step < maxSteps; ++step) {\n";
   if (faults_.hang.armed) {
@@ -399,18 +448,15 @@ void Emitter::emitSimLoop(std::ostringstream& os) {
     os << "      if (accmos_diag_fired) { ++step; stopped = 1; break; }\n";
   }
   os << "      if (budget > 0.0 && (step & 1023) == 1023 &&\n"
-     << "          std::chrono::duration<double>(std::chrono::steady_clock"
-        "::now() - t0).count() >= budget) { ++step; break; }\n"
+     << "          accmos_ns_to_s(accmos_now_ns() - t0) >= budget) "
+        "{ ++step; break; }\n"
      << "      if (stepBudget != 0 && step + 1 >= stepBudget &&\n"
      << "          step + 1 < maxSteps) { ++step; *timedOut = 1; break; }\n"
      << "      if (deadline > 0.0 && (step & 255) == 255 &&\n"
      << "          accmos_now_s() >= deadline) { ++step; *timedOut = 1; "
         "break; }\n"
      << "    }\n"
-     << "    auto t1 = std::chrono::steady_clock::now();\n"
-     << "    *execNs = (unsigned long long)\n"
-     << "        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - "
-        "t0).count();\n"
+     << "    *execNs = (unsigned long long)(accmos_now_ns() - t0);\n"
      << "    *stoppedEarly = stopped;\n"
      << "    return step;\n"
      << "  }\n";
@@ -520,7 +566,7 @@ void Emitter::emitResultExtract(std::ostringstream& os) {
     const SignalInfo& sig = fm_.signal(fa.inputs[0]);
     os << "  for (int i = 0; i < " << sig.width << "; ++i) res->outVals["
        << off << " + i] = "
-       << packExpr(sig.type, "M->s" + std::to_string(fa.inputs[0]) + "[i]")
+       << packExpr(sig.type, "M->" + signalSymbol(fa.inputs[0]) + "[i]")
        << ";\n";
     off += static_cast<size_t>(sig.width);
   }
@@ -599,7 +645,7 @@ std::string Emitter::generate() {
 
     std::string guard;
     if (fa.enableSignal >= 0) {
-      guard = "if (s" + std::to_string(fa.enableSignal) + "[0] != 0) ";
+      guard = "if (" + signalSymbol(fa.enableSignal) + "[0] != 0) ";
     }
     evalSection_ << "  // -- " << fa.path << " (" << fa.type() << ")\n";
     if (!body_.empty()) {
@@ -617,12 +663,12 @@ std::string Emitter::generate() {
   }
   current_ = nullptr;
 
-  // Pass 2: compose the program (paper Fig. 5). All mutable state and the
-  // model functions sit inside `struct accmos_model`: unqualified member
-  // references keep the emitted actor code textually identical to the old
-  // file-scope form, while `new accmos_model()` gives every accmos_run()
-  // call — in-process or in the runner — a private zero-initialized state
-  // instance.
+  // Pass 2: compose the program (paper Fig. 5). All state that outlives a
+  // step and the model functions sit inside `struct accmos_model`, so
+  // `new accmos_model()` gives every accmos_run() call — in-process or in
+  // the runner — a private zero-initialized state instance. Actor code
+  // names a signal the same way whether it is a member or a local of
+  // Model_Exe.
   std::ostringstream os;
   os << "// Generated by AccMoS for model '" << fm_.modelName << "'\n";
   os << runtimePreamble();

@@ -70,11 +70,12 @@ class Emitter : public EmitSink {
   };
   AbiGeom abiGeom() const;
 
-  // Generated-program sections. All mutable simulation state lives in one
-  // `struct accmos_model`; emitDeclarations/emitDiagFn/emitFillInputs/
-  // emitModelInit/emitModelExe/emitSimLoop produce its members, so every
-  // accmos_run() call through the shared library ABI executes against a
-  // private, zero-initialized instance.
+  // Generated-program sections. All simulation state that outlives a step
+  // lives in one `struct accmos_model`; emitDeclarations/emitDiagFn/
+  // emitFillInputs/emitModelInit/emitModelExe/emitSimLoop produce its
+  // members, so every accmos_run() call through the shared library ABI
+  // executes against a private, zero-initialized instance. Step-local
+  // signals are locals of Model_Exe (stepLocal_).
   void emitConstTables(std::ostringstream& os);
   void emitDeclarations(std::ostringstream& os);
   void emitDiagFn(std::ostringstream& os);
@@ -105,6 +106,8 @@ class Emitter : public EmitSink {
   // a faulted build can never leak into a fault-free run. Captured at
   // construction so one Emitter is internally consistent.
   FaultPlan faults_;
+  // Per signal: true when it is a local of Model_Exe rather than a member.
+  std::vector<bool> stepLocal_;
 
   // Per-actor emission state.
   const FlatActor* current_ = nullptr;

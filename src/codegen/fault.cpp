@@ -108,6 +108,9 @@ void parseDirective(const std::string& d, FaultPlan& plan) {
       }
     }
   } else if (name == "slow-compile") {
+    if (hasStep)
+      throw ModelError("ACCMOS_FAULT: slow-compile takes no @step: '" + d +
+                       "'");
     int ms = 0;
     for (auto& [q, v] : qualifiers(1)) {
       if (q == "ms")
@@ -123,6 +126,12 @@ void parseDirective(const std::string& d, FaultPlan& plan) {
                        d + "'");
     plan.slowCompileMs = ms;
   } else if (name == "dlopen-fail") {
+    if (hasStep)
+      throw ModelError("ACCMOS_FAULT: dlopen-fail takes no @step: '" + d +
+                       "'");
+    if (parts.size() > 1)
+      throw ModelError("ACCMOS_FAULT: dlopen-fail takes no qualifiers: '" +
+                       d + "'");
     plan.dlopenFail = true;
   } else if (name == "shard-abort") {
     if (hasStep)

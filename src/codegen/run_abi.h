@@ -86,11 +86,12 @@ typedef struct AccmosRunArgs {
   uint64_t seed;
   /* Fault-containment limits. deadlineSeconds is an ABSOLUTE point
    * on the monotonic clock, expressed as seconds since its epoch
-   * (std::chrono::steady_clock on the host; the generated code reads the
-   * same clock) — 0 means no deadline. The step loop polls it every K
-   * steps (amortized) and retires the run with ACCMOS_ABI_ETIMEOUT when
-   * it passes. stepBudget caps total executed steps independently of
-   * maxSteps (0 = no budget); exceeding it also retires with ETIMEOUT.
+   * (std::chrono::steady_clock on the host; the generated code reads
+   * clock_gettime(CLOCK_MONOTONIC), the same clock on Linux) — 0 means
+   * no deadline. The step loop polls it every K steps (amortized) and
+   * retires the run with ACCMOS_ABI_ETIMEOUT when it passes. stepBudget
+   * caps total executed steps independently of maxSteps (0 = no budget);
+   * exceeding it also retires with ETIMEOUT.
    * Unlike timeBudgetSec (a normal early-stop that yields a successful
    * result), these mark the result timedOut — a containment event. */
   double deadlineSeconds;

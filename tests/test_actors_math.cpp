@@ -282,5 +282,42 @@ TEST(Bias, AddsConstant) {
   EXPECT_EQ(evalOnce(t, {4.0}).f(0), 2.5);
 }
 
+// The runtime preamble declares the libm functions by hand instead of
+// including <cmath>. One model per op that the Math, Trigonometry,
+// Rounding and Abs templates can emit runs compiled and on SSE, over
+// (finite) inputs that reach each function's domain edges, where the
+// results turn NaN or infinite.
+TEST(CompiledLibm, EveryEmittedFunctionMatchesSse) {
+  const std::vector<double> a = {-2.5, -1.0, -0.5,    -0.0, 0.0, 0.25,
+                                 0.5,  1.0,  1.5,     2.5,  710.0,
+                                 -1e-310, 3.0e9, -1e308};
+  const std::vector<double> b = {2.0, -3.0, 0.0, 0.5, -1.5, 7.0, -0.0};
+  auto run = [&](const std::string& type, const std::string& op,
+                 bool twoInputs) {
+    auto cfg = [&](Actor& x) {
+      if (!op.empty()) x.params().set("op", op);
+    };
+    Tiny t = twoInputs ? binary(type, cfg) : unary(type, cfg);
+    test::expectCompiledMatchesSse(
+        t, twoInputs ? std::vector<std::vector<double>>{a, b}
+                     : std::vector<std::vector<double>>{a},
+        type + " " + op);
+  };
+  for (const char* op : {"exp", "log", "log10", "sqrt", "square",
+                         "reciprocal"}) {
+    run("Math", op, false);
+  }
+  for (const char* op : {"pow", "hypot", "mod", "rem"}) run("Math", op, true);
+  for (const char* op : {"sin", "cos", "tan", "asin", "acos", "atan", "sinh",
+                         "cosh", "tanh"}) {
+    run("Trigonometry", op, false);
+  }
+  run("Trigonometry", "atan2", true);
+  for (const char* op : {"round", "floor", "ceil", "fix"}) {
+    run("Rounding", op, false);
+  }
+  run("Abs", "", false);
+}
+
 }  // namespace
 }  // namespace accmos

@@ -187,5 +187,92 @@ TEST(Codegen, UninstrumentedCodeOmitsInstrumentation) {
   EXPECT_TRUE(res.diagnostics.empty());
 }
 
+// Step-local signals become locals of Model_Exe; signals whose value
+// outlives a step stay members. Four signals probe the rule: the output of
+// an enabled subsystem, read while the subsystem is disabled (held, so a
+// member); a root outport fed by an unguarded actor (read after the loop,
+// so a member); a monitored signal and a custom-diagnosed signal (locals,
+// read by the collect and the custom check inside Model_Exe).
+Tiny localisationModel() {
+  Tiny t("Loc");
+  t.inport("In1", 1);
+  t.inport("In2", 2);
+  Actor& en = t.actor("En", "CompareToConstant");
+  en.params().set("op", ">");
+  en.params().setDouble("value", 0.5);
+  Actor& sub = t.actor("S", "EnabledSubsystem");
+  System& inner = sub.makeSubsystem();
+  inner.addActor("In1", "Inport").params().setInt("port", 1);
+  inner.addActor("G", "Gain").params().setDouble("gain", 2.0);
+  inner.connect("In1", 1, "G", 1);
+  inner.addActor("Out1", "Outport").params().setInt("port", 1);
+  inner.connect("G", 1, "Out1", 1);
+  t.actor("Hold", "Sum").params().set("ops", "++");
+  t.actor("Mon", "Gain").params().setDouble("gain", 0.5);
+  t.actor("Cd", "Sum").params().set("ops", "+-");
+  t.actor("Term", "Terminator");
+  t.outport("Out1", 1);
+  t.wire("In2", "En");
+  t.wire("In1", "S", 1);
+  t.wire("En", "S", 2);
+  t.wire("S", "Hold", 1);
+  t.wire("In1", "Hold", 2);
+  t.wire("Hold", "Out1");
+  t.wire("Hold", "Mon");
+  t.wire("Mon", "Cd", 1);
+  t.wire("In2", "Cd", 2);
+  t.wire("Cd", "Term");
+  return t;
+}
+
+TEST(Codegen, StepLocalSignalsMatchInterpreterAndHeldSignalsStayMembers) {
+  Tiny t = localisationModel();
+  SimOptions opt;
+  opt.collectList = {"Loc_Mon"};
+  opt.customDiagnostics = {rangeDiagnostic("Loc_Cd", "band", -1.0, 4.0)};
+  TestCaseSpec tests;
+  tests.ports.resize(2);
+  tests.ports[0].sequence = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};
+  tests.ports[1].sequence = {1.0, 0.0, 0.0, 1.0, 0.0};  // disabled 2 of 5
+
+  for (uint64_t steps = 1; steps <= 12; ++steps) {
+    opt.maxSteps = steps;
+    opt.engine = Engine::SSE;
+    auto sse = simulate(t.model(), opt, tests);
+    opt.engine = Engine::AccMoS;
+    auto acc = simulate(t.model(), opt, tests);
+    test::expectIdenticalResults(sse, acc,
+                                 "after " + std::to_string(steps) + " steps");
+    if (steps == 12) {
+      EXPECT_NE(acc.findDiag("Loc_Cd", DiagKind::Custom), nullptr);
+      ASSERT_EQ(acc.collected.size(), 1u);
+      EXPECT_EQ(acc.collected[0].count, steps);
+    }
+  }
+
+  Simulator sim(t.model());
+  const FlatModel& fm = sim.flatModel();
+  AccMoSEngine engine(fm, opt, tests);
+  const std::string& src = engine.generatedSource();
+  const size_t exe = src.find("void Model_Exe(");
+  ASSERT_NE(exe, std::string::npos);
+  // A signal's first mention is its declaration: before Model_Exe for a
+  // member of the state struct, inside it for a local.
+  auto isMember = [&](const std::string& path) {
+    const FlatActor* fa = fm.findByPath(path);
+    EXPECT_NE(fa, nullptr) << path;
+    if (fa == nullptr) return false;
+    const size_t decl = src.find(" " + signalSymbol(fa->outputs[0]) + "[");
+    EXPECT_NE(decl, std::string::npos) << path;
+    return decl < exe;
+  };
+  EXPECT_TRUE(isMember("Loc_S_G")) << "held enabled-subsystem output";
+  EXPECT_TRUE(isMember("Loc_Hold")) << "root outport input";
+  EXPECT_TRUE(isMember("Loc_In1")) << "root inport output";
+  EXPECT_FALSE(isMember("Loc_Mon")) << "monitored step-local signal";
+  EXPECT_FALSE(isMember("Loc_Cd")) << "custom-diagnosed step-local signal";
+  EXPECT_FALSE(isMember("Loc_En")) << "enable signal";
+}
+
 }  // namespace
 }  // namespace accmos

@@ -65,9 +65,8 @@ TEST(CoveragePlan, DataStoreMemoryNotActorCoverable) {
 
 // Drives the logic actor with an explicit input sequence and checks the
 // masking-MC/DC bitmaps.
-CoverageRecorder runLogic(const std::string& op, int inputs,
-                          const std::vector<std::vector<double>>& seqs,
-                          const FlatModel& fm, const CoveragePlan& plan) {
+CoverageRecorder runLogic(const std::vector<std::vector<double>>& seqs,
+                          const FlatModel& fm) {
   SimOptions opt;
   opt.engine = Engine::SSE;
   opt.maxSteps = seqs[0].size();
@@ -90,7 +89,7 @@ TEST(Mcdc, AndMaskingSemantics) {
   // Step 1: (1,1) -> both conditions shown true-independent.
   // Step 2: (0,1) -> condition 0 shown false-independent (other is true).
   // Condition 1 never shown false-independent (we never see (1,0)).
-  auto bits = runLogic("AND", 2, {{1, 0}, {1, 1}}, fm, plan);
+  auto bits = runLogic({{1, 0}, {1, 1}}, fm);
   const auto& mcdc = bits.bits(CovMetric::MCDC);
   EXPECT_EQ(mcdc[static_cast<size_t>(info.mcdcBase + 0)], 1);  // c0 true
   EXPECT_EQ(mcdc[static_cast<size_t>(info.mcdcBase + 1)], 1);  // c0 false
@@ -106,7 +105,7 @@ TEST(Mcdc, OrMaskingRequiresOthersFalse) {
   // OR masking: a condition is independent only when all others are false.
   // Step 0 (1,0): c0 independent, shown true. Step 1 (0,0): both
   // independent, shown false. c1 is never seen true while c0 is false.
-  auto bits = runLogic("OR", 2, {{1, 0}, {0, 0}}, fm, plan);
+  auto bits = runLogic({{1, 0}, {0, 0}}, fm);
   const auto& mcdc = bits.bits(CovMetric::MCDC);
   EXPECT_EQ(mcdc[static_cast<size_t>(info.mcdcBase + 0)], 1);
   EXPECT_EQ(mcdc[static_cast<size_t>(info.mcdcBase + 1)], 1);
@@ -118,7 +117,7 @@ TEST(Mcdc, XorAlwaysIndependent) {
   FlatModel fm = logicModel("XOR", 2);
   CoveragePlan plan = planFor(fm);
   // One step (1,0): every condition demonstrates independence at its value.
-  auto bits = runLogic("XOR", 2, {{1}, {0}}, fm, plan);
+  auto bits = runLogic({{1}, {0}}, fm);
   const ActorCovInfo& info = plan.info(fm.findByPath("T_L")->id);
   const auto& mcdc = bits.bits(CovMetric::MCDC);
   EXPECT_EQ(mcdc[static_cast<size_t>(info.mcdcBase + 0)], 1);  // c0 true
@@ -128,18 +127,18 @@ TEST(Mcdc, XorAlwaysIndependent) {
 TEST(Coverage, ConditionSlotsTrackBothDirections) {
   FlatModel fm = logicModel("AND", 2);
   CoveragePlan plan = planFor(fm);
-  auto bits = runLogic("AND", 2, {{1, 1}, {1, 1}}, fm, plan);
+  auto bits = runLogic({{1, 1}, {1, 1}}, fm);
   // c0 always true, never false: one of its two slots set.
   EXPECT_EQ(bits.coveredPoints(plan, CovMetric::Condition), 2);
-  auto bits2 = runLogic("AND", 2, {{1, 0}, {0, 1}}, fm, plan);
+  auto bits2 = runLogic({{1, 0}, {0, 1}}, fm);
   EXPECT_EQ(bits2.coveredPoints(plan, CovMetric::Condition), 4);
 }
 
 TEST(Coverage, MergeIsUnion) {
   FlatModel fm = logicModel("AND", 2);
   CoveragePlan plan = planFor(fm);
-  auto a = runLogic("AND", 2, {{1}, {1}}, fm, plan);
-  auto b = runLogic("AND", 2, {{0}, {0}}, fm, plan);
+  auto a = runLogic({{1}, {1}}, fm);
+  auto b = runLogic({{0}, {0}}, fm);
   int ca = a.coveredPoints(plan, CovMetric::Condition);
   a.merge(b);
   EXPECT_GT(a.coveredPoints(plan, CovMetric::Condition), ca);
@@ -188,7 +187,7 @@ TEST(Coverage, ListUncoveredShrinksAsPointsAreHit) {
   FlatModel fm = logicModel("AND", 2);
   CoveragePlan plan = planFor(fm);
   auto before = listUncovered(fm, plan, CoverageRecorder{}).size();
-  auto bits = runLogic("AND", 2, {{1, 0}, {1, 1}}, fm, plan);
+  auto bits = runLogic({{1, 0}, {1, 1}}, fm);
   auto after = listUncovered(fm, plan, bits);
   EXPECT_LT(after.size(), before);
   // Every listed point is genuinely unset in the bitmaps.
@@ -197,7 +196,7 @@ TEST(Coverage, ListUncoveredShrinksAsPointsAreHit) {
         << u.actorPath << ": " << u.outcome;
   }
   // Full coverage empties the listing.
-  auto rest = runLogic("AND", 2, {{0, 1}, {1, 0}}, fm, plan);
+  auto rest = runLogic({{0, 1}, {1, 0}}, fm);
   bits.merge(rest);
   EXPECT_TRUE(listUncovered(fm, plan, bits).empty());
 }

@@ -353,7 +353,7 @@ std::vector<TypeCase> typeCases() {
     Actor& sel = t.actor("Sel", "Selector");
     sel.params().set("indices", "2,1,2");
     sel.setWidth(3);
-    Actor& sum = t.actor("S", "SumOfElements");
+    t.actor("S", "SumOfElements");
     t.outport("Out1", 1);
     t.wire("In1", "M", 1);
     t.wire("In2", "M", 2);
@@ -371,7 +371,7 @@ std::vector<TypeCase> typeCases() {
     Actor& mux = t.actor("M", "Mux");
     mux.params().setInt("inputs", 2);
     mux.setWidth(2);
-    Actor& iv = t.actor("Op", "IndexVector");
+    t.actor("Op", "IndexVector");
     t.outport("Out1", 1);
     t.wire("In1", "G");
     t.wire("G", "K");
@@ -451,7 +451,7 @@ std::vector<TypeCase> typeCases() {
     g.setWidth(4);
     Actor& a = t.actor("A", "Abs");
     a.setWidth(4);
-    Actor& s = t.actor("S", "SumOfElements");
+    t.actor("S", "SumOfElements");
     t.outport("Out1", 1);
     t.wire("In1", "G");
     t.wire("G", "A");

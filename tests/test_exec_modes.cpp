@@ -9,8 +9,11 @@
 // environment default.
 #include <gtest/gtest.h>
 
+#include <time.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -293,6 +296,76 @@ TEST(ExecModes, DlopenFailureFallsBackToProcess) {
   SimulationResult fb = engine.run();
   EXPECT_EQ(fb.execMode, "process");
   test::expectSameOutputs(clean, fb, "fallback");
+}
+
+// The generated code reads its deadline clock with
+// clock_gettime(CLOCK_MONOTONIC); the host computes
+// AccmosRunArgs::deadlineSeconds from std::chrono::steady_clock. The
+// contract in run_abi.h needs the two to be one clock.
+TEST(ExecModes, SteadyClockIsClockMonotonic) {
+  for (int k = 0; k < 5; ++k) {
+    const double host =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    struct timespec ts;
+    ASSERT_EQ(::clock_gettime(CLOCK_MONOTONIC, &ts), 0);
+    const double mono = static_cast<double>(ts.tv_sec) +
+                        static_cast<double>(ts.tv_nsec) / 1e9;
+    EXPECT_LT(std::abs(mono - host), 1e-3) << host << " vs " << mono;
+  }
+}
+
+// A deadline that has already passed retires a dlopen run at the first
+// poll, within 256 steps, with ACCMOS_ABI_ETIMEOUT.
+TEST(ExecModes, PastDeadlineRetiresWithinTheFirstPoll) {
+  auto t = test::unaryConstModel("Abs", -3.0);
+  Simulator sim(t->model());
+  AccMoSEngine engine(sim.flatModel(), modeOptions(ExecMode::Dlopen),
+                      TestCaseSpec{});
+  ModelLib lib(engine.exePath());
+  const AccmosModelInfo& info = lib.info();
+
+  AccmosRunArgs args{};
+  args.structSize = static_cast<uint32_t>(sizeof(AccmosRunArgs));
+  args.abiVersion = ACCMOS_ABI_VERSION;
+  args.maxSteps = 1000000;
+  args.deadlineSeconds =
+      std::chrono::duration<double>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count() -
+      1.0;
+
+  std::vector<uint8_t> cov[4];
+  std::vector<AccmosDiagRec> diags(
+      static_cast<size_t>(info.numActors * info.numDiagKinds));
+  std::vector<AccmosCustomRec> customs(static_cast<size_t>(info.numCustom));
+  std::vector<uint64_t> collectCounts(static_cast<size_t>(info.numCollect));
+  std::vector<uint64_t> collectVals(static_cast<size_t>(info.collectValsLen));
+  std::vector<uint64_t> outVals(static_cast<size_t>(info.outValsLen));
+  AccmosRunResult res{};
+  res.structSize = static_cast<uint32_t>(sizeof(AccmosRunResult));
+  res.abiVersion = ACCMOS_ABI_VERSION;
+  for (int m = 0; m < 4; ++m) {
+    cov[m].resize(static_cast<size_t>(info.covLen[m]));
+    res.cov[m] = cov[m].empty() ? nullptr : cov[m].data();
+    res.covLen[m] = info.covLen[m];
+  }
+  res.diags = diags.empty() ? nullptr : diags.data();
+  res.diagCap = diags.size();
+  res.customs = customs.empty() ? nullptr : customs.data();
+  res.customCap = customs.size();
+  res.collectCounts = collectCounts.empty() ? nullptr : collectCounts.data();
+  res.numCollect = collectCounts.size();
+  res.collectVals = collectVals.empty() ? nullptr : collectVals.data();
+  res.collectValsLen = collectVals.size();
+  res.outVals = outVals.empty() ? nullptr : outVals.data();
+  res.outValsLen = outVals.size();
+
+  EXPECT_EQ(lib.run(args, res), ACCMOS_ABI_ETIMEOUT);
+  EXPECT_EQ(res.timedOut, 1u);
+  EXPECT_GT(res.stepsExecuted, 0u);
+  EXPECT_LE(res.stepsExecuted, 256u);
 }
 
 // ModelLib must reject files dlopen cannot load with a catchable

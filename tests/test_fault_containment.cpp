@@ -321,7 +321,9 @@ TEST_F(FaultTest, MalformedFaultSpecThrows) {
   }
   for (const char* bad :
        {"shard-abort", "shard-abort:shard=", "shard-abort:shard=x",
-        "shard-abort:seed=1", "shard-abort@3:shard=1"}) {
+        "shard-abort:seed=1", "shard-abort@3:shard=1", "dlopen-fail@3",
+        "dlopen-fail:bogus=1", "dlopen-fail@3:bogus=1", "dlopen-fail:once",
+        "slow-compile@3:ms=5"}) {
     EnvGuard fault("ACCMOS_FAULT", bad);
     EXPECT_THROW(faultPlanFromEnv(), ModelError) << bad;
   }
